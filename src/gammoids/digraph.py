@@ -5,9 +5,10 @@ paths, one per element of X, each starting in X and ending in T; a vertex
 lying in both X and T may serve as its own single-vertex path. Linkings
 are computed by max-flow on the vertex-split network: each vertex becomes
 an in/out pair joined by a unit-capacity internal arc, graph arcs get
-capacity ``|V|``, and a super-source/super-sink attach outside the
-splitting. Augmenting paths are found by BFS scanning vertices in index
-order, so every result is deterministic.
+capacity 1 (the unit vertex capacities bound their flow anyway), and a
+super-source/super-sink attach outside the splitting. Augmenting paths
+are found by BFS scanning vertices in index order, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import GraphTooLarge, GroundSetTooLarge, NotStrict
-from .matroid import MAX_GROUND, Matroid
+from .matroid import MAX_GROUND, Matroid, _popcounts
 
 MAX_BRUTE_VERTICES = 10
 
@@ -180,9 +183,8 @@ class _FlowNetwork:
         self.src_arc = [add(self.src, 2 * i, 0) for i in range(n)]
         for i in range(n):
             add(2 * i, 2 * i + 1, 1)
-        arc_cap = max(n, 1)
         for u, v in graph.arcs:
-            add(2 * idx[u] + 1, 2 * idx[v], arc_cap)
+            add(2 * idx[u] + 1, 2 * idx[v], 1)
         for t in sorted(targets, key=idx.__getitem__):
             add(2 * idx[t] + 1, self.snk, 1)
         self.heads = heads
@@ -196,21 +198,19 @@ class _FlowNetwork:
         """Push one unit along a BFS-shortest residual path if any exists."""
         heads = self.heads
         adj = self.adj
+        src = self.src
         snk = self.snk
         prev = [-1] * self.n_nodes
-        prev[self.src] = -2
-        queue = [self.src]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        prev[src] = -2
+        queue = [src]
+        for u in queue:  # the list grows while it is walked: a FIFO queue
             for a in adj[u]:
                 if caps[a]:
                     v = heads[a]
                     if prev[v] == -1:
                         prev[v] = a
                         if v == snk:
-                            while v != self.src:
+                            while v != src:
                                 a = prev[v]
                                 caps[a] -= 1
                                 caps[a ^ 1] += 1
@@ -270,60 +270,52 @@ def is_linked(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) ->
     return max_linking(graph, sources, targets).size == len(sources)
 
 
-class _IncrementalLinkageOracle:
-    """Independence oracle over subsets of the ground set.
+def _linkage_independence(
+    graph: Digraph, ground: Sequence[str], targets: Iterable[str]
+) -> np.ndarray:
+    """Which subsets of the ground set are linked to the targets, by mask.
 
-    Answers are pure functions of (graph, targets, subset). When queried
-    in ascending mask order, each answer warm-starts from a stored flow of
-    an independent sub-subset, so one BFS decides each mask. Out-of-order
-    queries fall back to routing from scratch.
+    One route over the whole ground gives the rank; no larger subset is
+    linked, so only masks of popcount at most the rank are enumerated,
+    one popcount layer at a time. Every sub-family of a linking is a
+    linking, so a mask with an unlinked one-smaller subset is unlinked.
+    Any other mask is decided by one BFS from the flow of its subset
+    without the lowest bit. Flows are kept for the previous layer only,
+    and never for masks of full rank, which are no mask's parent.
     """
-
-    def __init__(self, graph: Digraph, ground: Sequence[str], targets: Iterable[str]):
-        self._net = _FlowNetwork(graph, targets)
-        idx = graph.index
-        self._vertex_of_bit = [idx[g] for g in ground]
-        self._flows: dict[int, bytearray] = {0: self._net.fresh()}
-        self._dependent: set[int] = set()
-
-    def __call__(self, mask: int) -> bool:
-        if mask == 0:
-            return True
-        if mask in self._dependent:
-            return False
-        if mask in self._flows:
-            return True
-        net = self._net
-        vert = self._vertex_of_bit
-        remaining = mask
-        b = 0
-        while remaining:
-            if remaining & 1:
-                parent = mask ^ (1 << b)
-                state = self._flows.get(parent)
-                if state is not None:
-                    caps = bytearray(state)
-                    caps[net.src_arc[vert[b]]] = 1
-                    if net.augment(caps):
-                        self._flows[mask] = caps
-                        return True
-                    self._dependent.add(mask)
-                    return False
-                if parent not in self._dependent:
-                    break  # unknown parent: cold query below
-            remaining >>= 1
-            b += 1
-        else:
-            # every one-smaller subset is dependent, so this one is too
-            self._dependent.add(mask)
-            return False
-        caps = net.fresh()
-        sources = [vert[b] for b in range(mask.bit_length()) if mask >> b & 1]
-        if net.route(caps, sources) == len(sources):
-            self._flows[mask] = caps
-            return True
-        self._dependent.add(mask)
-        return False
+    net = _FlowNetwork(graph, targets)
+    augment = net.augment
+    idx = graph.index
+    source_arc = [net.src_arc[idx[g]] for g in ground]
+    n = len(ground)
+    rank = net.route(net.fresh(), [idx[g] for g in ground])
+    pc = _popcounts(n)
+    indep = np.zeros(1 << n, dtype=bool)
+    indep[0] = True
+    flows = {0: net.fresh()}
+    for k in range(1, rank + 1):
+        keep = k < rank
+        linked: dict[int, bytearray | None] = {}
+        for mask in np.flatnonzero(pc == k).tolist():
+            low = mask & -mask
+            parent = mask ^ low
+            state = flows.get(parent)
+            if state is None:
+                continue
+            rest = parent
+            while rest:
+                bit = rest & -rest
+                if mask ^ bit not in flows:
+                    break
+                rest ^= bit
+            else:
+                caps = bytearray(state)
+                caps[source_arc[low.bit_length() - 1]] = 1
+                if augment(caps):
+                    linked[mask] = caps if keep else None
+        indep[list(linked)] = True
+        flows = linked
+    return indep
 
 
 def linkage_matroid(presentation: Presentation) -> Matroid:
@@ -332,10 +324,10 @@ def linkage_matroid(presentation: Presentation) -> Matroid:
         raise GroundSetTooLarge(
             f"{len(presentation.ground)} ground elements exceeds cap {MAX_GROUND}"
         )
-    oracle = _IncrementalLinkageOracle(
+    indep = _linkage_independence(
         presentation.graph, presentation.ground, presentation.targets
     )
-    return Matroid.from_independence_oracle(presentation.ground, oracle)
+    return Matroid.from_independence(presentation.ground, indep)
 
 
 def brute_force_linking_oracle(

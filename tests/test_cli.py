@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from gammoids.certificate import (
     verify_certificate,
 )
 from gammoids.cli import main
-from gammoids.corpus import RANK3_DOC, U24_DOC
+from gammoids.corpus import PIPELINE_DEMOS, RANK3_DOC, U24_DOC
 from gammoids.errors import ParseError, ReverifyFailed
 
 
@@ -115,6 +116,35 @@ class TestBuildCommand:
             == 0
         )
         assert serial.read_text() == parallel.read_text()
+
+    def test_long_path_builds_and_verifies(self, runner):
+        # 300 vertices: more than a byte can count, so arc capacities must stay small
+        verts = [f"v{i}" for i in range(300)]
+        doc = {
+            "vertices": verts,
+            "arcs": [[u, v] for u, v in zip(verts, verts[1:])],
+            "ground": ["v0", "v1"],
+            "targets": ["v299"],
+        }
+        result = runner.invoke(main, ["build"], input=json.dumps(doc))
+        assert result.exit_code == 0, result.output
+        check = runner.invoke(main, ["verify"], input=result.stdout)
+        assert check.exit_code == 0, check.output
+
+
+# sha256 of the `build` output for each demo input; any change to a
+# certificate byte must show up here
+GOLDEN_SHA256 = {
+    "u24": "4617581447f4ed1ab49fe85b2ee5b6895416981a944eafb25fc678f56d93a42d",
+    "rank3-gammoid": "2e7e711bdfcd183db75caac322dc147fed9cb7ccf7475988d711540bd2bf31af",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_certificate(runner, name):
+    result = runner.invoke(main, ["build"], input=json.dumps(PIPELINE_DEMOS[name]))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SHA256[name]
 
 
 class TestVerifyCommand:

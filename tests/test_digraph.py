@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import uniform
@@ -14,6 +15,17 @@ from gammoids.digraph import (
     transversal_duality_check,
 )
 from gammoids.errors import GraphTooLarge, GroundSetTooLarge, NotStrict
+from gammoids.matroid import Matroid
+
+
+def plain_linkage_matroid(p: Presentation) -> Matroid:
+    """Route every subset from scratch: no warm starts, no short-cuts."""
+    return Matroid.from_independence_oracle(
+        p.ground,
+        lambda mask: is_linked(
+            p.graph, [g for i, g in enumerate(p.ground) if mask >> i & 1], p.targets
+        ),
+    )
 
 
 class TestDigraph:
@@ -131,6 +143,41 @@ class TestLinkageMatroid:
             q = Presentation(g.without_vertex(spare), ground, targets)
             assert q.matroid.equals(p.matroid)
             checked += 1
+
+
+class TestLinkageDifferential:
+    def test_random_presentations(self):
+        rng = random.Random(0xD1FF)
+        ranks = set()
+        for _ in range(200):
+            p = random_presentation(rng, max_vertices=8)
+            m = linkage_matroid(p)
+            assert np.array_equal(m.table, plain_linkage_matroid(p).table)
+            ranks.add(m.rank)
+        assert {0, 1, 2, 3} <= ranks
+
+    @pytest.mark.parametrize(
+        "vertices, arcs, ground, targets, rank, loops, coloops",
+        [
+            # rank 0: no targets
+            ("abc", [("a", "b")], "abc", "", 0, "abc", ""),
+            # rank 1: everything funnels through one target, d is a loop
+            ("abcd", [("a", "b"), ("b", "c")], "abcd", "c", 1, "d", ""),
+            # a reaches t alone (coloop); b and c share u (parallel); d is a loop
+            ("abcdtu", [("a", "t"), ("b", "u"), ("c", "u")], "abcd", "tu", 2, "d", "a"),
+            # two parallel classes {a,b} and {c,d}
+            ("abcdtu", [("a", "t"), ("b", "t"), ("c", "u"), ("d", "u")], "abcd", "tu", 2, "", ""),
+            # ground inside the targets: the free matroid
+            ("abc", [("a", "b")], "abc", "abc", 3, "", "abc"),
+        ],
+    )
+    def test_hand_made(self, vertices, arcs, ground, targets, rank, loops, coloops):
+        p = Presentation(Digraph(vertices, arcs), ground, targets)
+        m = linkage_matroid(p)
+        assert np.array_equal(m.table, plain_linkage_matroid(p).table)
+        assert m.rank == rank
+        assert "".join(g for g in ground if m.is_loop(g)) == loops
+        assert "".join(g for g in ground if m.delete(g).rank < rank) == coloops
 
 
 class TestBruteForceOracle:

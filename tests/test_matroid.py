@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -64,6 +65,28 @@ class TestConstruction:
     def test_from_bases_rejects_non_matroid_family(self):
         with pytest.raises(AxiomViolation):
             Matroid.from_bases("abcd", [["a", "b"], ["c", "d"]])
+
+    def test_from_bases_table_is_best_basis_overlap(self):
+        # rank(X) = max over the given sets B of |X & B|, matroid or not
+        rng = random.Random(0xBA5E)
+        for _ in range(100):
+            n = rng.randint(0, 7)
+            ground = "abcdefg"[:n]
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+            bases = [[g for i, g in enumerate(ground) if mask >> i & 1] for mask in masks]
+            table = Matroid.from_bases(ground, bases, verify=False).table
+            expected = [max((x & b).bit_count() for b in masks) for x in range(1 << n)]
+            assert table.tolist() == expected
+
+    def test_from_bases_errors(self):
+        with pytest.raises(ValueError, match="at least one basis is required"):
+            Matroid.from_bases("ab", [])
+        with pytest.raises(ValueError, match="basis label 'z' not in ground set"):
+            Matroid.from_bases("ab", [["z"]])
+
+    def test_from_independence_checks_length(self):
+        with pytest.raises(ValueError):
+            Matroid.from_independence("ab", np.ones(3, dtype=bool))
 
 
 class TestRankAndCircuits:
@@ -205,3 +228,73 @@ class TestGreedy:
     def test_greedy_max_independent_within(self):
         m = parallel_pair_matroid()
         assert m.greedy_max_independent(within="ab") == ("a",)
+
+
+def all_pairs_rank_axioms(table: np.ndarray, n: int) -> bool:
+    """The rank axioms checked on every subset and every pair of subsets."""
+    t = table.astype(np.int16)
+    ar = np.arange(1 << n)
+    if t[0] != 0:
+        return False
+    for x in range(1 << n):
+        if t[x] > x.bit_count():
+            return False
+        if np.any(t[ar[(ar & x) == x]] < t[x]):
+            return False
+        if np.any(t[x] + t < t[x | ar] + t[x & ar]):
+            return False
+    return True
+
+
+def first_local_failure(m: Matroid) -> str | None:
+    """The message of the first failing local check, in the documented order."""
+    t = [int(r) for r in m.table]
+    n = m.size
+    if t[0] != 0:
+        return "rank of the empty set is not 0"
+    for b in range(n):
+        for x in range(1 << n):
+            if not x >> b & 1 and not t[x] <= t[x | 1 << b] <= t[x] + 1:
+                return f"unit increase fails at {m.labels_of(x)} + {m.ground[b]}"
+    for b, f in itertools.combinations(range(n), 2):
+        for x in range(1 << n):
+            if x >> b & 1 or x >> f & 1:
+                continue
+            if t[x | 1 << b] + t[x | 1 << f] < t[x | 1 << b | 1 << f] + t[x]:
+                return (
+                    f"submodularity fails at {m.labels_of(x)} with "
+                    f"{m.ground[b]}, {m.ground[f]}"
+                )
+    return None
+
+
+class TestVerifyAxioms:
+    def test_local_checks_agree_with_all_pairs(self):
+        # perturbed uniform tables: some stay matroids, most break an axiom
+        rng = random.Random(0xA7)
+        verdicts = {"ok": 0, "unit increase": 0, "submodularity": 0}
+        for _ in range(800):
+            n = rng.randint(1, 7)
+            k = rng.randint(0, n)
+            table = np.array(
+                [min(x.bit_count(), k) for x in range(1 << n)], dtype=np.int16
+            )
+            for _ in range(rng.randint(0, 3)):
+                x = rng.randrange(1, 1 << n)
+                table[x] = max(0, table[x] + rng.choice((-1, 1)))
+            m = Matroid("abcdefg"[:n], table)
+            expected = first_local_failure(m)
+            assert (expected is None) == all_pairs_rank_axioms(m.table, n)
+            if expected is None:
+                m.verify_axioms()
+                verdicts["ok"] += 1
+            else:
+                with pytest.raises(AxiomViolation) as err:
+                    m.verify_axioms()
+                assert str(err.value) == expected
+                verdicts[expected.split(" fails")[0]] += 1
+        assert min(verdicts.values()) >= 10, verdicts
+
+    def test_empty_set_rank(self):
+        with pytest.raises(AxiomViolation, match="rank of the empty set is not 0"):
+            Matroid("a", np.array([1, 1])).verify_axioms()
