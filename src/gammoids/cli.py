@@ -20,6 +20,7 @@ from .digraph import transversal_duality_check
 from .errors import (
     ClaimFailed,
     GroundSetTooLarge,
+    LabelCollision,
     ParseError,
     ReverifyFailed,
     TooLarge,
@@ -101,6 +102,10 @@ def build(input_path: str, output_path: str, branch: str, jobs: int, max_element
     try:
         bundle = construct(presentation, max_elements=max_elements)
         cert = certify(bundle, branch=branch, jobs=jobs)
+    except LabelCollision as exc:
+        # an input vertex is named like a label the construction generates
+        _say(f"parse error: {exc}")
+        sys.exit(EXIT_PARSE)
     except (TooLarge, GroundSetTooLarge) as exc:
         _say(f"too large: {exc}")
         sys.exit(EXIT_TOO_LARGE)

@@ -20,7 +20,6 @@ from .digraph import Digraph, Presentation
 from .errors import ClaimFailed, LabelCollision, TooLarge, VerificationFailed
 from .matroid import MAX_GROUND, IngletonCheck, Matroid
 from .surgery import (
-    add_coloop,
     contract_any,
     delete_element,
     free_extension,
@@ -153,10 +152,11 @@ def _build_apexed(
 ) -> tuple[Presentation, tuple[str, ...]]:
     """Split this side's basis through primed copies and attach both apexes."""
     primes = {x: _prime(x) for x in s_own}
+    # before relabeling, which would hide an input vertex named like an apex
+    _fresh(rebased.graph, APEXES)
     _fresh(rebased.graph, primes.values())
     graph = rebased.graph.relabeled(primes)
     _fresh(graph, s_own)
-    _fresh(graph, APEXES)
     graph = graph.with_vertices(list(s_own) + list(APEXES))
     v_own, v_far = APEXES[i - 1], APEXES[2 - i]
     arcs = [(x, primes[x]) for x in s_own]
@@ -409,31 +409,39 @@ class _CertifyContext:
     default_branch: int
 
 
+def _block_deletion(gadget: Presentation, x: str) -> Presentation:
+    """Present the deletion of a block element by removing its vertex."""
+    return Presentation(
+        gadget.graph.without_vertex(x),
+        tuple(g for g in gadget.ground if g != x),
+        gadget.targets,
+    )
+
+
 def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
+    # the surgeries run with verify=False: the comparison of each recorded
+    # presentation against the table-level minor below is the one check
     m = ctx.result
     if x in ctx.block:
         claim = "block_minors_gammoid"
-        i = ctx.default_branch
-        gadget = ctx.gadgets[i]
-        del_pres = Presentation(
-            gadget.graph.without_vertex(x),
-            tuple(g for g in gadget.ground if g != x),
-            gadget.targets,
-        )
-        del_ok = del_pres.matroid.equals(m.delete([x]))
-        if not del_ok:
-            raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
+        if x in ctx.block_deleted:
+            # certify built this same presentation and verified it
+            del_pres, del_ok = ctx.block_deleted[x], True
+        else:
+            del_pres = _block_deletion(ctx.gadgets[ctx.default_branch], x)
+            del_ok = del_pres.matroid.equals(m.delete([x]))
+            if not del_ok:
+                raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
 
         pool = ctx.block_d if x in ctx.block_c else ctx.block_c
         y = pool[0]
-        without_y = ctx.block_deleted[y]
-        contracted = contract_any(without_y, x)
-        expected = m.contract([x])
-        if expected.rank == contracted.matroid.rank:
-            con_pres = free_extension(contracted, y)
-        else:
-            con_pres = add_coloop(contracted, y)
-        con_ok = con_pres.matroid.equals(expected)
+        # contracted presents (M\y)/x = (M/x)\y. A coloop of M/x is a coloop
+        # of M, and y is none: y lies in the relaxed circuit-hyperplane H, and
+        # H - y plus any element outside H is a basis of M that misses y. So
+        # y always comes back as a free extension.
+        contracted = contract_any(ctx.block_deleted[y], x, verify=False)
+        con_pres = free_extension(contracted, y, verify=False)
+        con_ok = con_pres.matroid.equals(m.contract([x]))
         if not con_ok:
             raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
     else:
@@ -448,7 +456,7 @@ def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
         if not del_ok:
             raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
 
-        con_pres = contract_any(ctx.gadgets[i], x)
+        con_pres = contract_any(ctx.gadgets[i], x, verify=False)
         con_ok = con_pres.matroid.equals(m.contract([x]))
         if not con_ok:
             raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
@@ -462,6 +470,12 @@ def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
 def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certificate:
     """Produce the per-element minor certificates and assemble the document.
 
+    Every recorded presentation is materialized once and compared with the
+    table-level deletion or contraction of the result. The surgeries that
+    build the contraction presentations therefore run with
+    ``verify=False``: their own checks would only repeat that comparison
+    on intermediate tables.
+
     ``branch`` picks which gadget presentation backs the records for the
     block elements ("both" behaves like 1); the structural claims always
     cover both branches. Output is independent of ``jobs``.
@@ -472,12 +486,7 @@ def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certifica
     block = frozenset(bundle.relaxed_set)
     block_deleted: dict[str, Presentation] = {}
     for y in (bundle.block_c[0], bundle.block_d[0]):
-        gadget = bundle.branches[default_branch].gadget
-        pres = Presentation(
-            gadget.graph.without_vertex(y),
-            tuple(g for g in gadget.ground if g != y),
-            gadget.targets,
-        )
+        pres = _block_deletion(bundle.branches[default_branch].gadget, y)
         if not pres.matroid.equals(m.delete([y])):
             raise ClaimFailed(
                 "block_minors_gammoid", f"deletion presentation at {y!r} did not verify"

@@ -1,9 +1,13 @@
 """Surgeries on gammoid presentations.
 
-Each operation returns a new presentation together with a mandatory
-verification that the presented matroid satisfies the operation's
-defining identity on the full rank table. Verification failures raise
-instead of returning, so nothing unverified ever flows downstream.
+Each operation returns a new presentation and, by default, verifies that
+the presented matroid satisfies the operation's defining identity on the
+full rank table; a failure raises instead of returning. ``verify=False``
+(every surgery but ``add_coloop`` takes it) builds exactly the same
+presentation without materializing the result or any intermediate (``retarget`` and ``contract_any`` still read the input's
+matroid to check and choose a basis), for a caller that checks the final
+presentation itself: ``certify`` does, at the certificate boundary.
+Label-collision and membership errors raise in either mode.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from .errors import (
 from .matroid import MAX_GROUND
 
 
-def contract_target(p: Presentation, t: str) -> Presentation:
+def contract_target(p: Presentation, t: str, *, verify: bool = True) -> Presentation:
     """Contract an element that is also a target.
 
     Removing the vertex from the graph, the ground set, and the targets
-    presents the contraction; the identity is asserted against the rank
-    table of the table-level contraction.
+    presents the contraction; when ``verify`` is set, the identity is
+    asserted against the rank table of the table-level contraction.
     """
     if t not in p.ground or t not in p.targets:
         raise NotInSAndT(f"{t!r} must be both a ground element and a target")
@@ -39,7 +43,7 @@ def contract_target(p: Presentation, t: str) -> Presentation:
         tuple(g for g in p.ground if g != t),
         tuple(x for x in p.targets if x != t),
     )
-    if not result.matroid.equals(p.matroid.contract([t])):
+    if verify and not result.matroid.equals(p.matroid.contract([t])):
         raise VerificationFailed(f"target contraction at {t!r} did not verify")
     return result
 
@@ -84,14 +88,15 @@ def _match_into_parts(
     return out
 
 
-def retarget(p: Presentation, basis) -> Presentation:
+def retarget(p: Presentation, basis, *, verify: bool = True) -> Presentation:
     """Re-present the same matroid with the given basis as the target set.
 
     Works on the strict lift: extend the basis to a basis of the full
     vertex matroid, rebuild a presentation with that target set from the
     transversal system dual to the lift, then drop the extension vertices
-    and restrict back to the ground set. Full rank-table equality with the
-    input matroid is verified; a mismatch raises rather than guessing.
+    and restrict back to the ground set. When ``verify`` is set, full
+    rank-table equality with the input matroid is checked; a mismatch
+    raises rather than guessing.
     """
     basis = tuple(basis)
     m = p.matroid
@@ -145,17 +150,17 @@ def retarget(p: Presentation, basis) -> Presentation:
         p.ground,
         tuple(g for g in p.ground if g in bset),
     )
-    if not result.matroid.equals(m):
+    if verify and not result.matroid.equals(m):
         raise RetargetFailed("re-targeted presentation does not reproduce the matroid")
     return result
 
 
-def contract_any(p: Presentation, x: str) -> Presentation:
+def contract_any(p: Presentation, x: str, *, verify: bool = True) -> Presentation:
     """Contract an arbitrary non-loop element.
 
     Routes through a greedy basis containing the element: retarget so the
     basis is the target set, then contract the element as a target. Both
-    steps carry their own verification.
+    steps get the ``verify`` flag.
     """
     if x not in p.ground:
         raise NotInGround(f"{x!r} is not a ground element")
@@ -163,38 +168,39 @@ def contract_any(p: Presentation, x: str) -> Presentation:
     if m.is_loop(x):
         raise IsLoop(f"{x!r} is a loop; delete it instead of contracting")
     basis = m.greedy_basis(containing=(x,))
-    return contract_target(retarget(p, basis), x)
+    return contract_target(retarget(p, basis, verify=verify), x, verify=verify)
 
 
-def free_extension(p: Presentation, x: str) -> Presentation:
+def free_extension(p: Presentation, x: str, *, verify: bool = True) -> Presentation:
     """Add a new element in generic position (rank preserved).
 
     Requires the target set to be a basis of the presented matroid; the
-    new vertex gets one arc to every target. Verifies that the element is
-    freely placed and that deleting it restores the input.
+    new vertex gets one arc to every target. When ``verify`` is set, checks
+    that precondition, that the element is freely placed, and that
+    deleting it restores the input.
     """
     if x in p.graph.index:
         raise LabelCollision(f"{x!r} already names a vertex")
-    m = p.matroid
     tset = set(p.targets)
     gset = set(p.ground)
-    if tset <= gset:
-        if not m.is_basis(p.targets):
-            raise PreconditionViolated("targets must form a basis of the matroid")
-    elif tset.isdisjoint(gset):
-        if len(p.targets) != m.rank:
-            raise PreconditionViolated("target count must equal the rank")
-    else:
+    if not (tset <= gset or tset.isdisjoint(gset)):
         raise PreconditionViolated("targets must lie inside or outside the ground set")
     graph = p.graph.with_vertices([x]).with_arcs([(x, t) for t in p.targets])
     result = Presentation(graph, p.ground + (x,), p.targets)
-    rm = result.matroid
-    if (
-        rm.rank != m.rank
-        or not rm.is_freely_placed(x)
-        or not rm.delete([x]).equals(m)
-    ):
-        raise VerificationFailed(f"free extension by {x!r} did not verify")
+    if verify:
+        m = p.matroid
+        if tset <= gset:
+            if not m.is_basis(p.targets):
+                raise PreconditionViolated("targets must form a basis of the matroid")
+        elif len(p.targets) != m.rank:
+            raise PreconditionViolated("target count must equal the rank")
+        rm = result.matroid
+        if (
+            rm.rank != m.rank
+            or not rm.is_freely_placed(x)
+            or not rm.delete([x]).equals(m)
+        ):
+            raise VerificationFailed(f"free extension by {x!r} did not verify")
     return result
 
 
@@ -277,12 +283,7 @@ def two_bases_embedding(p: Presentation) -> TwoBasesEmbedding:
     if not embedded.is_basis(basis_one) or not embedded.is_basis(basis_two):
         raise VerificationFailed("two-bases partition contains a non-basis")
 
-    recovered = result
-    for u in u_labels:
-        recovered = delete_element(recovered, u)
-    for t in t_labels:
-        recovered = contract_target(recovered, t)
-    if not recovered.matroid.equals(m):
+    if not embedded.delete(u_labels).contract(t_labels).equals(m):
         raise VerificationFailed("recovery from the embedding did not verify")
 
     return TwoBasesEmbedding(result, basis_one, basis_two, u_labels, t_labels)

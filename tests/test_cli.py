@@ -25,6 +25,14 @@ def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
+def u24_with_vertex(label):
+    """U(2,4) with one extra vertex, named ``label``, feeding a target."""
+    doc = copy.deepcopy(U24_DOC)
+    doc["vertices"].append(label)
+    doc["arcs"].append([label, "a"])
+    return doc
+
+
 class TestParsePresentation:
     def test_round_trip(self):
         p = parse_presentation(U24_DOC)
@@ -83,6 +91,21 @@ class TestBuildCommand:
         write_json(inp, doc)
         result = runner.invoke(main, ["build", "-i", str(inp)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "label, doc",
+        [
+            ("C#1", u24_with_vertex("C#1")),
+            ("w#1", u24_with_vertex("w#1")),
+            ("a'", u24_with_vertex("a'")),
+            ("v#1", json.loads(json.dumps(U24_DOC).replace('"a"', '"v#1"'))),
+        ],
+    )
+    def test_reserved_label_is_a_parse_error(self, runner, label, doc):
+        result = runner.invoke(main, ["build"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"parse error: fresh label {label!r} already names a vertex" in result.output
 
     def test_too_large_exit(self, runner, tmp_path):
         inp = tmp_path / "in.json"

@@ -3,12 +3,12 @@ from itertools import combinations
 import pytest
 
 from conftest import uniform
-from gammoids import certify, construct, normalize, parse_presentation
+from gammoids import certify, construct, construction, digraph, normalize, parse_presentation
 from gammoids.certificate import certificate_to_json
 from gammoids.construction import APEXES
-from gammoids.corpus import U24_DOC
+from gammoids.corpus import RANK3_DOC, U24_DOC
 from gammoids.digraph import Digraph, Presentation
-from gammoids.errors import TooLarge
+from gammoids.errors import ClaimFailed, TooLarge
 
 
 def family_subsets(m, families, size):
@@ -18,6 +18,16 @@ def family_subsets(m, families, size):
             for combo in combinations(sorted(family), size):
                 out.add(m.mask_of(combo))
     return out
+
+
+def drop_arc_changing_matroid(p):
+    """``p`` without one arc, chosen so that the presented matroid changes."""
+    for arc in p.graph.arcs:
+        arcs = [a for a in p.graph.arcs if a != arc]
+        q = Presentation(Digraph(p.graph.vertices, arcs), p.ground, p.targets)
+        if not q.matroid.equals(p.matroid):
+            return q
+    raise AssertionError("no single arc changes the presented matroid")
 
 
 def block_meeting_circuits(m, block):
@@ -184,6 +194,68 @@ class TestDeterminismAndOptions:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             construct(parse_presentation(U24_DOC), max_elements=10)
+
+
+class TestBoundaryVerification:
+    """certify materializes each recorded presentation once and checks it there."""
+
+    @pytest.mark.parametrize("doc, certify_calls", [(U24_DOC, 16), (RANK3_DOC, 20)])
+    def test_materialization_counts(self, monkeypatch, doc, certify_calls):
+        calls = [0]
+        real = digraph.linkage_matroid
+
+        def counting(p):
+            calls[0] += 1
+            return real(p)
+
+        monkeypatch.setattr(digraph, "linkage_matroid", counting)
+        bundle = construct(parse_presentation(doc))
+        assert calls[0] == 9
+        calls[0] = 0
+        certify(bundle)
+        assert calls[0] == certify_calls
+
+    def test_faulty_side_contraction_is_caught(self, monkeypatch, u24_run):
+        bundle, _, _ = u24_run
+        side = bundle.s1[0]
+        real = construction.contract_any
+
+        def faulty(p, x, **kwargs):
+            q = real(p, x, **kwargs)
+            if x != side:
+                return q
+            bad = drop_arc_changing_matroid(q)
+            assert not bad.matroid.equals(q.matroid)
+            return bad
+
+        monkeypatch.setattr(construction, "contract_any", faulty)
+        with pytest.raises(ClaimFailed) as info:
+            certify(bundle)
+        assert info.value.claim == "side_minors_gammoid"
+        assert repr(side) in info.value.detail
+
+    def test_faulty_block_extension_is_caught(self, monkeypatch, u24_run):
+        bundle, _, _ = u24_run
+        contracted = []
+        real_contract, real_extend = construction.contract_any, construction.free_extension
+
+        def recording(p, x, **kwargs):
+            contracted.append(x)
+            return real_contract(p, x, **kwargs)
+
+        def faulty(p, y, **kwargs):
+            q = real_extend(p, y, **kwargs)
+            bad = drop_arc_changing_matroid(q)
+            assert not bad.matroid.equals(q.matroid)
+            return bad
+
+        monkeypatch.setattr(construction, "contract_any", recording)
+        monkeypatch.setattr(construction, "free_extension", faulty)
+        with pytest.raises(ClaimFailed) as info:
+            certify(bundle)
+        assert contracted[-1] in bundle.relaxed_set
+        assert info.value.claim == "block_minors_gammoid"
+        assert repr(contracted[-1]) in info.value.detail
 
 
 class TestSmallEndToEnd:

@@ -249,3 +249,37 @@ class TestTwoBasesEmbedding:
         p = Presentation(Digraph("abc", [("a", "c")]), "ab", "c")
         with pytest.raises(PreconditionViolated):
             two_bases_embedding(p)
+
+
+class TestVerifyFlag:
+    def test_unverified_surgeries_build_the_same_presentations(self):
+        # verify=False skips the checks only: every surgery must build the
+        # presentation it builds with verification
+        def same(surgery, *args):
+            verified = surgery(*args).to_doc()
+            assert surgery(*args, verify=False).to_doc() == verified
+
+        rng = random.Random(59)
+        for _ in range(40):
+            p = random_presentation(rng, 8)
+            m = p.matroid
+            basis = m.labels_of(rng.choice(m.basis_masks()))
+            rebased = retarget(p, basis)
+            same(retarget, p, basis)
+            same(free_extension, rebased, "x")
+            if basis:
+                same(contract_target, rebased, basis[0])
+            non_loops = [x for x in p.ground if not m.is_loop(x)]
+            if non_loops:
+                same(contract_any, p, rng.choice(non_loops))
+
+    def test_input_errors_raise_without_verification(self):
+        p = u24_presentation()
+        with pytest.raises(NotInSAndT):
+            contract_target(p, "c", verify=False)
+        with pytest.raises(NotInGround):
+            contract_any(p, "z", verify=False)
+        with pytest.raises(NotABasis):
+            retarget(p, "a", verify=False)
+        with pytest.raises(LabelCollision):
+            free_extension(p, "a", verify=False)
