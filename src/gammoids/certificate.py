@@ -16,8 +16,23 @@ from typing import Any
 
 from .construction import CLAIM_NAMES, Certificate, MinorRecord, MinorSide
 from .digraph import Digraph, Presentation
-from .errors import AxiomViolation, GammoidError, ParseError, ReverifyFailed
+from .errors import (
+    AxiomViolation,
+    GammoidError,
+    GraphTooLarge,
+    ParseError,
+    ReverifyFailed,
+)
 from .matroid import MAX_GROUND, Matroid
+
+# a materialization may search the whole graph once per linked subset of
+# the ground. The ground cap bounds the number of searches; these caps
+# bound the cost of one search, to under 20 times its cost on a small
+# graph presenting the same matroid (ROADMAP item 4). They
+# leave room for inputs of a few hundred vertices: a certificate's
+# records add 16 vertices and about 50 arcs to its input's.
+MAX_VERTICES = 512
+MAX_ARCS = 2048
 
 _PRESENTATION_KEYS = ("vertices", "arcs", "ground", "targets")
 _CERTIFICATE_KEYS = ("claims", "ingleton", "minors", "recipe", "notes")
@@ -30,7 +45,11 @@ def _string_list(doc: Any, where: str) -> list[str]:
 
 
 def parse_presentation(doc: Any) -> Presentation:
-    """Decode and validate one presentation document."""
+    """Decode and validate one presentation document.
+
+    Raises :class:`ParseError` on a malformed document and
+    :class:`GraphTooLarge` past :data:`MAX_VERTICES` or :data:`MAX_ARCS`.
+    """
     if not isinstance(doc, dict):
         raise ParseError("presentation must be a JSON object")
     if set(doc) != set(_PRESENTATION_KEYS):
@@ -45,6 +64,10 @@ def parse_presentation(doc: Any) -> Presentation:
         raise ParseError("duplicate vertices")
     if not isinstance(doc["arcs"], list):
         raise ParseError("arcs must be a list")
+    if len(vertices) > MAX_VERTICES:
+        raise GraphTooLarge(f"{len(vertices)} vertices exceeds cap {MAX_VERTICES}")
+    if len(doc["arcs"]) > MAX_ARCS:
+        raise GraphTooLarge(f"{len(doc['arcs'])} arcs exceeds cap {MAX_ARCS}")
     arcs = []
     for entry in doc["arcs"]:
         if (
@@ -245,6 +268,8 @@ def verify_certificate(doc: Any) -> None:
             try:
                 pres = parse_presentation(rec["presentation"])
                 presented = pres.matroid
+            except GraphTooLarge as exc:
+                raise GraphTooLarge(f"{where}: {exc}") from None
             except (GammoidError, ValueError) as exc:
                 raise ReverifyFailed(where, f"presentation invalid: {exc}") from None
             if not presented.equals(minor):
@@ -258,6 +283,8 @@ def verify_certificate(doc: Any) -> None:
     try:
         source = parse_presentation(recipe["input"]["presentation"])
         source_matroid = source.matroid
+    except GraphTooLarge as exc:
+        raise GraphTooLarge(f"recipe.input.presentation: {exc}") from None
     except (GammoidError, ValueError) as exc:
         raise ReverifyFailed("recipe.input.presentation", str(exc)) from None
     if not m.delete(dels).contract(cons).equals(source_matroid):

@@ -19,6 +19,7 @@ from .construction import Bundle, Certificate, certify, construct
 from .digraph import transversal_duality_check
 from .errors import (
     ClaimFailed,
+    GraphTooLarge,
     GroundSetTooLarge,
     LabelCollision,
     ParseError,
@@ -99,6 +100,9 @@ def build(input_path: str, output_path: str, branch: str, jobs: int, max_element
     except ParseError as exc:
         _say(f"parse error: {exc}")
         sys.exit(EXIT_PARSE)
+    except GraphTooLarge as exc:
+        _say(f"too large: {exc}")
+        sys.exit(EXIT_TOO_LARGE)
     try:
         bundle = construct(presentation, max_elements=max_elements)
         cert = certify(bundle, branch=branch, jobs=jobs)
@@ -127,6 +131,9 @@ def verify(certificate: str) -> None:
     except ParseError as exc:
         _say(f"parse error: {exc}")
         sys.exit(EXIT_PARSE)
+    except GraphTooLarge as exc:
+        _say(f"too large: {exc}")
+        sys.exit(EXIT_TOO_LARGE)
     except ReverifyFailed as exc:
         _say(str(exc))
         sys.exit(EXIT_REVERIFY_FAILED)

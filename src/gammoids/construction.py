@@ -241,16 +241,21 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     and :class:`ClaimFailed` if any exhaustive check fails.
     """
     source_matroid = p.matroid
-    norm = normalize(p)
-    base = norm.presentation.matroid
-    s1, s2 = norm.basis_one, norm.basis_two
-    r = len(s1)
+    # the normalized rank, read off the input before anything larger is
+    # built: normalize keeps the greedy basis B and attaches one target per
+    # element of E - B outside a maximum independent subset of it
+    basis = set(source_matroid.greedy_basis())
+    r = len(p.ground) - source_matroid.rank_of(g for g in p.ground if g not in basis)
     total = 3 * r + 5
     cap = min(max_elements, MAX_GROUND)
     if total > cap:
         raise TooLarge(
             f"result would have {total} elements (rank {r} input); cap is {cap}"
         )
+    norm = normalize(p)
+    base = norm.presentation.matroid
+    s1, s2 = norm.basis_one, norm.basis_two
+    assert len(s1) == r, "normalized rank differs from its prediction"
 
     block_c = ("C#1", "C#2")
     block_d = tuple(f"D#{k + 1}" for k in range(r + 1))

@@ -9,6 +9,13 @@ capacity 1 (the unit vertex capacities bound their flow anyway), and a
 super-source/super-sink attach outside the splitting. Augmenting paths
 are found by BFS scanning vertices in index order, so every result is
 deterministic.
+
+A linkage matroid is materialized by growing linked sets one element at
+a time. One reverse BFS from the sink over the residual network of a
+linked set's flow decides all of its one-element extensions at once (an
+extension is linked iff its vertex reaches the sink), and the search
+tree carries each extension's augmenting path, so an extension's flow is
+a copy plus a walk along that path.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GraphTooLarge, GroundSetTooLarge, NotStrict
-from .matroid import MAX_GROUND, Matroid, _popcounts
+from .matroid import MAX_GROUND, Matroid
 
 MAX_BRUTE_VERTICES = 10
 
@@ -136,6 +143,11 @@ class Presentation:
     def matroid(self) -> Matroid:
         return linkage_matroid(self)
 
+    def __getstate__(self) -> dict:
+        # the cached table has 2^|ground| entries; rebuild it on demand
+        # rather than pickle it (certify --jobs ships records between processes)
+        return {k: v for k, v in self.__dict__.items() if k != "matroid"}
+
     def with_ground(self, ground: Iterable[str]) -> "Presentation":
         return Presentation(self.graph, ground, self.targets)
 
@@ -157,7 +169,7 @@ class _FlowNetwork:
     array, so one bytearray fully describes a flow state.
     """
 
-    __slots__ = ("n_nodes", "src", "snk", "heads", "adj", "base", "src_arc")
+    __slots__ = ("n_nodes", "src", "snk", "heads", "adj", "into", "base", "src_arc")
 
     def __init__(self, graph: Digraph, targets: Iterable[str]):
         idx = graph.index
@@ -190,6 +202,8 @@ class _FlowNetwork:
         self.heads = heads
         self.base = bytes(caps)
         self.adj = adj
+        # arcs entering each node, paired with their tails
+        self.into = [tuple((a ^ 1, heads[a]) for a in out) for out in adj]
 
     def fresh(self) -> bytearray:
         return bytearray(self.base)
@@ -218,6 +232,29 @@ class _FlowNetwork:
                             return True
                         queue.append(v)
         return False
+
+    def sink_tree(self, caps: bytearray, wanted: set[int]) -> list[int]:
+        """Reverse BFS from the sink over residual arcs.
+
+        Entry v is the first arc of a shortest residual path from node v
+        to the sink: -1 if v does not reach it, -2 at the sink itself.
+        The search stops early once every node in ``wanted`` is reached.
+        """
+        into = self.into
+        toward = [-1] * self.n_nodes
+        toward[self.snk] = -2
+        queue = [self.snk]
+        left = len(wanted)
+        for w in queue:
+            for a, v in into[w]:
+                if caps[a] and toward[v] == -1:
+                    toward[v] = a
+                    if v in wanted:
+                        left -= 1
+                        if not left:
+                            return toward
+                    queue.append(v)
+        return toward
 
     def route(self, caps: bytearray, source_indices: Iterable[int]) -> int:
         """Open the given sources in index order, augmenting after each."""
@@ -276,45 +313,55 @@ def _linkage_independence(
     """Which subsets of the ground set are linked to the targets, by mask.
 
     One route over the whole ground gives the rank; no larger subset is
-    linked, so only masks of popcount at most the rank are enumerated,
-    one popcount layer at a time. Every sub-family of a linking is a
-    linking, so a mask with an unlinked one-smaller subset is unlinked.
-    Any other mask is decided by one BFS from the flow of its subset
-    without the lowest bit. Flows are kept for the previous layer only,
-    and never for masks of full rank, which are no mask's parent.
+    linked. Linked sets are then grown depth first, one element at a
+    time, from a maximum flow of each. For a linked set I with flow f,
+    I + e is linked iff the in-node of e reaches the sink in the
+    residual network of f (the source has no residual out-arc: every
+    open source arc is saturated), so one reverse search from the sink
+    decides every one-element extension of I, and its tree holds each
+    extension's augmenting path. An extension's flow is f plus a walk
+    along that path, with no search of its own.
+
+    A set is extended only by elements below its lowest bit, so each
+    mask is reached once, from the mask without its lowest bit. The
+    elements that may extend I + e are those below e that extend I:
+    any other extension contains an unlinked set. A set with no such
+    element, or of full rank, is a leaf and is never searched.
     """
     net = _FlowNetwork(graph, targets)
-    augment = net.augment
     idx = graph.index
+    heads = net.heads
+    snk = net.snk
     source_arc = [net.src_arc[idx[g]] for g in ground]
+    in_node = [2 * idx[g] for g in ground]
     n = len(ground)
     rank = net.route(net.fresh(), [idx[g] for g in ground])
-    pc = _popcounts(n)
     indep = np.zeros(1 << n, dtype=bool)
     indep[0] = True
-    flows = {0: net.fresh()}
-    for k in range(1, rank + 1):
-        keep = k < rank
-        linked: dict[int, bytearray | None] = {}
-        for mask in np.flatnonzero(pc == k).tolist():
-            low = mask & -mask
-            parent = mask ^ low
-            state = flows.get(parent)
-            if state is None:
-                continue
-            rest = parent
-            while rest:
-                bit = rest & -rest
-                if mask ^ bit not in flows:
-                    break
-                rest ^= bit
-            else:
-                caps = bytearray(state)
-                caps[source_arc[low.bit_length() - 1]] = 1
-                if augment(caps):
-                    linked[mask] = caps if keep else None
-        indep[list(linked)] = True
-        flows = linked
+    if not rank:
+        return indep
+    linked: list[int] = []
+    # linked sets still to search: mask, size, elements that may extend it, flow
+    stack = [(0, 0, list(range(n)), net.fresh())]
+    while stack:
+        parent, size, cands, caps = stack.pop()
+        toward = net.sink_tree(caps, {in_node[e] for e in cands})
+        reached = [e for e in cands if toward[in_node[e]] != -1]
+        grow = size + 1 < rank
+        for i, e in enumerate(reached):
+            child = parent | 1 << e
+            linked.append(child)
+            if grow and i:
+                flow = bytearray(caps)
+                flow[source_arc[e] ^ 1] = 1  # a unit now enters e from the source
+                v = in_node[e]
+                while v != snk:
+                    a = toward[v]
+                    flow[a] -= 1
+                    flow[a ^ 1] += 1
+                    v = heads[a]
+                stack.append((child, size + 1, reached[:i], flow))
+    indep[linked] = True
     return indep
 
 

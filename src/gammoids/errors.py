@@ -10,7 +10,7 @@ class GroundSetTooLarge(GammoidError):
 
 
 class GraphTooLarge(GammoidError):
-    """Graph exceeds the brute-force oracle cap."""
+    """Graph exceeds a vertex or arc cap (input parsing, brute-force oracle)."""
 
 
 class AxiomViolation(GammoidError):

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from gammoids import certificate
 from gammoids.certificate import (
     certificate_from_doc,
     certificate_to_doc,
@@ -113,6 +114,15 @@ class TestBuildCommand:
         result = runner.invoke(main, ["build", "-i", str(inp), "--max-elements", "10"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("cap, message", [("MAX_VERTICES", "4 vertices"), ("MAX_ARCS", "4 arcs")])
+    def test_graph_cap_exit(self, runner, monkeypatch, cap, message):
+        # lowered caps stand in for a huge input graph
+        monkeypatch.setattr(certificate, cap, 3)
+        result = runner.invoke(main, ["build"], input=json.dumps(U24_DOC))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert f"too large: {message} exceeds cap 3" in result.output
+
     def test_branch_option(self, runner, tmp_path):
         inp = tmp_path / "in.json"
         write_json(inp, U24_DOC)
@@ -170,6 +180,44 @@ def test_golden_certificate(runner, name):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SHA256[name]
 
 
+# a rank-4 matched-basis gammoid (17-element result), with the sha256 of
+# its `build` output: engine changes must keep every certificate byte
+RANK4_DOC = {
+    "vertices": [
+        "tzvrv", "tchfi", "txzgq", "txjsh", "sulrc",
+        "sanvq", "sjvmc", "sxmlp", "hocdm", "hqesr",
+    ],
+    "arcs": [
+        ["sulrc", "tzvrv"],
+        ["sulrc", "tchfi"],
+        ["sanvq", "tzvrv"],
+        ["sanvq", "txzgq"],
+        ["sjvmc", "tchfi"],
+        ["sjvmc", "txjsh"],
+        ["sjvmc", "hocdm"],
+        ["sxmlp", "tzvrv"],
+        ["sxmlp", "tchfi"],
+        ["sxmlp", "txjsh"],
+        ["sxmlp", "hocdm"],
+        ["sxmlp", "hqesr"],
+        ["hocdm", "txzgq"],
+        ["hqesr", "txjsh"],
+    ],
+    "ground": ["tzvrv", "tchfi", "txzgq", "txjsh", "sulrc", "sanvq", "sjvmc", "sxmlp"],
+    "targets": ["tzvrv", "tchfi", "txzgq", "txjsh"],
+}
+RANK4_SHA256 = "2ee1f3bdda2c94de7e81be0ca7bd3dd6fa249147d03c1d3ee1241d71d09fe047"
+
+
+def test_rank4_golden_certificate_verifies(runner):
+    result = runner.invoke(main, ["build"], input=json.dumps(RANK4_DOC))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == RANK4_SHA256
+    check = runner.invoke(main, ["verify"], input=result.stdout)
+    assert check.exit_code == 0, check.output
+    assert "certificate OK" in check.output
+
+
 class TestVerifyCommand:
     def test_fresh_certificate_verifies(self, u24_cert_doc):
         verify_certificate(copy.deepcopy(u24_cert_doc))
@@ -188,6 +236,15 @@ class TestVerifyCommand:
         with pytest.raises(ReverifyFailed) as err:
             verify_certificate(doc)
         assert err.value.location.startswith("minors[3]")
+
+    @pytest.mark.parametrize("cap", ["MAX_VERTICES", "MAX_ARCS"])
+    def test_graph_cap_exit(self, runner, monkeypatch, u24_cert_doc, cap):
+        # the input presentation fits, every record's presentation is larger
+        monkeypatch.setattr(certificate, cap, 4)
+        result = runner.invoke(main, ["verify"], input=json.dumps(u24_cert_doc))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "too large: minors[0].deletion: " in result.output
 
     def test_schema_error_is_parse_error(self, runner, tmp_path, u24_cert_doc):
         doc = copy.deepcopy(u24_cert_doc)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,7 @@ from conftest import uniform
 from gammoids import certify, construct, construction, digraph, normalize, parse_presentation
 from gammoids.certificate import certificate_to_json
 from gammoids.construction import APEXES
-from gammoids.corpus import RANK3_DOC, U24_DOC
+from gammoids.corpus import RANK3_DOC, U24_DOC, random_presentation
 from gammoids.digraph import Digraph, Presentation
 from gammoids.errors import ClaimFailed, TooLarge
 
@@ -194,6 +195,28 @@ class TestDeterminismAndOptions:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             construct(parse_presentation(U24_DOC), max_elements=10)
+
+    def test_too_large_is_found_before_normalizing(self, monkeypatch):
+        calls = [0]
+        real = digraph.linkage_matroid
+
+        def counting(p):
+            calls[0] += 1
+            return real(p)
+
+        monkeypatch.setattr(digraph, "linkage_matroid", counting)
+        with pytest.raises(TooLarge, match=r"result would have 14 elements \(rank 3 input\)"):
+            construct(parse_presentation(RANK3_DOC), max_elements=13)
+        assert calls[0] == 1  # the input's own matroid only
+
+    def test_predicted_rank_is_the_normalized_rank(self):
+        rng = random.Random(0x4A11)
+        for _ in range(150):
+            p = random_presentation(rng, max_vertices=6)
+            with pytest.raises(TooLarge) as info:
+                construct(p, max_elements=4)
+            r = len(normalize(p).basis_one)
+            assert f"(rank {r} input)" in str(info.value)
 
 
 class TestBoundaryVerification:

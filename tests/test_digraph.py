@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from gammoids.corpus import random_digraph, random_presentation, random_vertex_s
 from gammoids.digraph import (
     Digraph,
     Presentation,
+    _FlowNetwork,
     brute_force_linking_oracle,
     is_linked,
     linkage_matroid,
@@ -145,6 +147,21 @@ class TestLinkageMatroid:
             checked += 1
 
 
+class TestPresentationPickle:
+    def test_cached_table_is_left_out(self):
+        p = Presentation(
+            Digraph("abcdtu", [("a", "t"), ("b", "u"), ("c", "u")]), "abcd", "tu"
+        )
+        cold = pickle.dumps(p)
+        assert p.matroid.rank == 2
+        warm = pickle.dumps(p)
+        assert len(warm) == len(cold)
+        q = pickle.loads(warm)
+        assert "matroid" not in vars(q)
+        assert q == p and q.to_doc() == p.to_doc()
+        assert q.matroid.equals(p.matroid)
+
+
 class TestLinkageDifferential:
     def test_random_presentations(self):
         rng = random.Random(0xD1FF)
@@ -178,6 +195,55 @@ class TestLinkageDifferential:
         assert m.rank == rank
         assert "".join(g for g in ground if m.is_loop(g)) == loops
         assert "".join(g for g in ground if m.delete(g).rank < rank) == coloops
+
+
+class TestReverseSearch:
+    """One residual search from the sink decides every extension of a set."""
+
+    # {a} is routed a -> m -> t1, its shortest path; b reaches the targets
+    # only through m, so adding b reroutes a onto a -> p -> q -> t2 by
+    # walking the flow arc into m backwards
+    GRAPH = Digraph(
+        ["a", "b", "m", "p", "q", "t1", "t2"],
+        [("a", "m"), ("b", "m"), ("m", "t1"), ("a", "p"), ("p", "q"), ("q", "t2")],
+    )
+    TARGETS = ("t1", "t2")
+
+    def test_extension_walks_a_flow_arc_backwards(self):
+        net = _FlowNetwork(self.GRAPH, self.TARGETS)
+        idx = self.GRAPH.index
+        caps = net.fresh()
+        assert net.route(caps, [idx["a"]]) == 1
+        toward = net.sink_tree(caps, {2 * idx["b"]})
+        path, v = [], 2 * idx["b"]
+        while v != net.snk:
+            path.append(toward[v])
+            v = net.heads[toward[v]]
+        # odd positions hold residual twins: one step undoes flow
+        assert any(a % 2 for a in path)
+
+    @pytest.mark.parametrize("ground", ["ab", "ba"])
+    def test_rerouted_extension_is_linked(self, ground):
+        m = linkage_matroid(Presentation(self.GRAPH, ground, self.TARGETS))
+        assert m.rank == 2 and m.is_independent("ab")
+        assert brute_force_linking_oracle(self.GRAPH, "ab", self.TARGETS) == 2
+
+    def test_random_presentations_against_brute_force(self):
+        rng = random.Random(0xB0F)
+        seen = {"rank 0": 0, "loop": 0, "coloop": 0, "parallel pair": 0}
+        for _ in range(100):
+            p = random_presentation(rng, max_vertices=9)
+            m = linkage_matroid(p)
+            n = len(p.ground)
+            for mask in range(1 << n):
+                chosen = [p.ground[i] for i in range(n) if mask >> i & 1]
+                linked = brute_force_linking_oracle(p.graph, chosen, p.targets)
+                assert m.is_independent(chosen) == (linked == len(chosen)), (p, chosen)
+            seen["rank 0"] += m.rank == 0
+            seen["loop"] += any(m.is_loop(g) for g in p.ground)
+            seen["coloop"] += any(m.delete([g]).rank < m.rank for g in p.ground)
+            seen["parallel pair"] += any(c.bit_count() == 2 for c in m.circuit_masks())
+        assert all(seen.values()), seen
 
 
 class TestBruteForceOracle:
