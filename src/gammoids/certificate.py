@@ -20,6 +20,7 @@ from .errors import (
     AxiomViolation,
     GammoidError,
     GraphTooLarge,
+    GroundSetTooLarge,
     ParseError,
     ReverifyFailed,
 )
@@ -47,8 +48,9 @@ def _string_list(doc: Any, where: str) -> list[str]:
 def parse_presentation(doc: Any) -> Presentation:
     """Decode and validate one presentation document.
 
-    Raises :class:`ParseError` on a malformed document and
-    :class:`GraphTooLarge` past :data:`MAX_VERTICES` or :data:`MAX_ARCS`.
+    Raises :class:`ParseError` on a malformed document,
+    :class:`GraphTooLarge` past :data:`MAX_VERTICES` or :data:`MAX_ARCS`,
+    and :class:`GroundSetTooLarge` past ``MAX_GROUND`` ground elements.
     """
     if not isinstance(doc, dict):
         raise ParseError("presentation must be a JSON object")
@@ -94,7 +96,7 @@ def parse_presentation(doc: Any) -> Presentation:
     if not ground:
         raise ParseError("ground set must be nonempty")
     if len(ground) > MAX_GROUND:
-        raise ParseError(f"ground set exceeds {MAX_GROUND} elements")
+        raise GroundSetTooLarge(f"{len(ground)} ground elements exceeds cap {MAX_GROUND}")
     return Presentation(Digraph(vertices, arcs), ground, targets)
 
 
@@ -268,8 +270,8 @@ def verify_certificate(doc: Any) -> None:
             try:
                 pres = parse_presentation(rec["presentation"])
                 presented = pres.matroid
-            except GraphTooLarge as exc:
-                raise GraphTooLarge(f"{where}: {exc}") from None
+            except (GraphTooLarge, GroundSetTooLarge) as exc:
+                raise type(exc)(f"{where}: {exc}") from None
             except (GammoidError, ValueError) as exc:
                 raise ReverifyFailed(where, f"presentation invalid: {exc}") from None
             if not presented.equals(minor):
@@ -283,8 +285,8 @@ def verify_certificate(doc: Any) -> None:
     try:
         source = parse_presentation(recipe["input"]["presentation"])
         source_matroid = source.matroid
-    except GraphTooLarge as exc:
-        raise GraphTooLarge(f"recipe.input.presentation: {exc}") from None
+    except (GraphTooLarge, GroundSetTooLarge) as exc:
+        raise type(exc)(f"recipe.input.presentation: {exc}") from None
     except (GammoidError, ValueError) as exc:
         raise ReverifyFailed("recipe.input.presentation", str(exc)) from None
     if not m.delete(dels).contract(cons).equals(source_matroid):

@@ -89,7 +89,9 @@ def main() -> None:
 @click.option("--output", "-o", "output_path", default="-", help="Certificate path, or - for stdout.")
 @click.option("--branch", type=click.Choice(["1", "2", "both"]), default="both",
               help="Which branch backs the block element records.")
-@click.option("--jobs", type=int, default=1, help="Parallel minor certifications.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              help="Parallel minor certifications, at most one worker per CPU "
+                   "and per result element.")
 @click.option("--max-elements", type=int, default=MAX_GROUND,
               help="Cap on the result's ground set size.")
 def build(input_path: str, output_path: str, branch: str, jobs: int, max_elements: int) -> None:
@@ -100,7 +102,7 @@ def build(input_path: str, output_path: str, branch: str, jobs: int, max_element
     except ParseError as exc:
         _say(f"parse error: {exc}")
         sys.exit(EXIT_PARSE)
-    except GraphTooLarge as exc:
+    except (GraphTooLarge, GroundSetTooLarge) as exc:
         _say(f"too large: {exc}")
         sys.exit(EXIT_TOO_LARGE)
     try:
@@ -131,7 +133,7 @@ def verify(certificate: str) -> None:
     except ParseError as exc:
         _say(f"parse error: {exc}")
         sys.exit(EXIT_PARSE)
-    except GraphTooLarge as exc:
+    except (GraphTooLarge, GroundSetTooLarge) as exc:
         _say(f"too large: {exc}")
         sys.exit(EXIT_TOO_LARGE)
     except ReverifyFailed as exc:

@@ -12,6 +12,7 @@ nothing is taken on faith from the construction itself.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -483,7 +484,8 @@ def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certifica
 
     ``branch`` picks which gadget presentation backs the records for the
     block elements ("both" behaves like 1); the structural claims always
-    cover both branches. Output is independent of ``jobs``.
+    cover both branches. Output is independent of ``jobs``; the pool has
+    at most one worker per CPU and per result element.
     """
     default_branch = 2 if branch == "2" else 1
     m = bundle.result
@@ -513,8 +515,9 @@ def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certifica
     )
 
     elements = list(m.ground)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(elements))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_certify_element, [ctx] * len(elements), elements))
     else:
         records = [_certify_element(ctx, x) for x in elements]

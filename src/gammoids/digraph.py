@@ -16,13 +16,32 @@ linked set's flow decides all of its one-element extensions at once (an
 extension is linked iff its vertex reaches the sink), and the search
 tree carries each extension's augmenting path, so an extension's flow is
 a copy plus a walk along that path.
+
+That enumeration runs in a small C kernel, ``_linkage.c`` beside this
+file, called through ``ctypes`` once per materialization. Importing this
+module compiles the kernel with the interpreter's C compiler into the
+per-user cache (``$XDG_CACHE_HOME/gammoids``, else ``~/.cache/gammoids``),
+under a name hashed from the source, the compiler command and the
+interpreter's extension suffix, so only a cold cache compiles. Without a
+compiler, or if any step fails, the same enumeration runs in Python
+(``_grow_linked``), which is also the kernel's test reference.
+:data:`ENGINE` records which one is live.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +49,54 @@ from .errors import GraphTooLarge, GroundSetTooLarge, NotStrict
 from .matroid import MAX_GROUND, Matroid
 
 MAX_BRUTE_VERTICES = 10
+
+
+def _load_kernel():
+    """Compile ``_linkage.c`` into the per-user cache if needed, then load it.
+
+    Returns the kernel's entry point, or None when there is no compiler
+    or any step fails; the Python enumeration then runs instead.
+    """
+    source = Path(__file__).with_name("_linkage.c")
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return None
+    try:
+        command = shlex.split(cc) + ["-O2", "-shared", "-fPIC"]
+        key = hashlib.sha256(source.read_bytes())
+        key.update("\0".join(command).encode())
+        key.update(str(sysconfig.get_config_var("EXT_SUFFIX")).encode())
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+        cache = cache / "gammoids"
+        library = cache / f"linkage-{key.hexdigest()}.so"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        owner = cache.stat()
+        if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+            return None  # build and load only where no other user can write
+        if not library.exists():
+            fd, partial = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    command + ["-o", partial, str(source)],
+                    check=True, capture_output=True, timeout=120,
+                )
+                os.replace(partial, library)  # atomic: racing builds agree
+            finally:
+                if os.path.exists(partial):
+                    os.remove(partial)
+        kernel = ctypes.CDLL(str(library)).linkage_independence
+    except (OSError, ValueError, RuntimeError, AttributeError, subprocess.SubprocessError):
+        return None
+    count, array = ctypes.c_int32, ctypes.c_void_p
+    kernel.argtypes = [count] * 3 + [array] * 4 + [count, array, array, count, array]
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+_KERNEL = _load_kernel()
+ENGINE = "python" if _KERNEL is None else "c"
+"""Which linked-set enumeration is live: "c" (the kernel) or "python"."""
 
 
 @dataclass(frozen=True)
@@ -169,8 +236,6 @@ class _FlowNetwork:
     array, so one bytearray fully describes a flow state.
     """
 
-    __slots__ = ("n_nodes", "src", "snk", "heads", "adj", "into", "base", "src_arc")
-
     def __init__(self, graph: Digraph, targets: Iterable[str]):
         idx = graph.index
         n = len(graph.vertices)
@@ -202,8 +267,12 @@ class _FlowNetwork:
         self.heads = heads
         self.base = bytes(caps)
         self.adj = adj
-        # arcs entering each node, paired with their tails
-        self.into = [tuple((a ^ 1, heads[a]) for a in out) for out in adj]
+
+    @cached_property
+    def into(self) -> list[tuple[tuple[int, int], ...]]:
+        """Arcs entering each node, paired with their tails."""
+        heads = self.heads
+        return [tuple((a ^ 1, heads[a]) for a in out) for out in self.adj]
 
     def fresh(self) -> bytearray:
         return bytearray(self.base)
@@ -327,19 +396,30 @@ def _linkage_independence(
     elements that may extend I + e are those below e that extend I:
     any other extension contains an unlinked set. A set with no such
     element, or of full rank, is a leaf and is never searched.
+
+    The growing runs in the C kernel when it is loaded, else in
+    :func:`_grow_linked`; both follow the steps above in the same order.
     """
     net = _FlowNetwork(graph, targets)
     idx = graph.index
+    in_node = [2 * idx[g] for g in ground]
+    source_arc = [net.src_arc[idx[g]] for g in ground]
+    rank = net.route(net.fresh(), [idx[g] for g in ground])
+    indep = np.zeros(1 << len(ground), dtype=bool)
+    indep[0] = True
+    if rank:
+        grow = _grow_linked if _KERNEL is None else _grow_linked_c
+        grow(net, in_node, source_arc, rank, indep)
+    return indep
+
+
+def _grow_linked(
+    net: _FlowNetwork, in_node: list[int], source_arc: list[int], rank: int, indep: np.ndarray
+) -> None:
+    """Mark every non-empty linked set in ``indep`` (the Python engine)."""
     heads = net.heads
     snk = net.snk
-    source_arc = [net.src_arc[idx[g]] for g in ground]
-    in_node = [2 * idx[g] for g in ground]
-    n = len(ground)
-    rank = net.route(net.fresh(), [idx[g] for g in ground])
-    indep = np.zeros(1 << n, dtype=bool)
-    indep[0] = True
-    if not rank:
-        return indep
+    n = len(in_node)
     linked: list[int] = []
     # linked sets still to search: mask, size, elements that may extend it, flow
     stack = [(0, 0, list(range(n)), net.fresh())]
@@ -362,7 +442,33 @@ def _linkage_independence(
                     v = heads[a]
                 stack.append((child, size + 1, reached[:i], flow))
     indep[linked] = True
-    return indep
+
+
+def _grow_linked_c(
+    net: _FlowNetwork, in_node: list[int], source_arc: list[int], rank: int, indep: np.ndarray
+) -> None:
+    """Mark every non-empty linked set in ``indep`` through the C kernel."""
+    n = len(in_node)
+    if not 0 < rank <= n <= MAX_GROUND or indep.shape != (1 << n,):
+        raise ValueError(f"bad kernel call: {n} elements of rank {rank}")
+    adj_start = np.zeros(net.n_nodes + 1, dtype=np.int32)
+    np.cumsum([len(out) for out in net.adj], out=adj_start[1:])
+    heads = np.array(net.heads, dtype=np.int32)
+    adj = np.fromiter(chain.from_iterable(net.adj), dtype=np.int32, count=len(net.base))
+    base = np.frombuffer(net.base, dtype=np.uint8)
+    in_nodes = np.array(in_node, dtype=np.int32)
+    sources = np.array(source_arc, dtype=np.int32)
+    # plain addresses: numpy's ctypes adapters (ndpointer, data_as) leave one
+    # reference cycle per argument, which holds its array until a collection
+    status = _KERNEL(
+        net.n_nodes, net.snk, len(net.base),
+        heads.ctypes.data, adj_start.ctypes.data, adj.ctypes.data, base.ctypes.data,
+        n, in_nodes.ctypes.data, sources.ctypes.data, rank, indep.ctypes.data,
+    )
+    if status == 1:
+        raise MemoryError("linkage kernel could not allocate its search state")
+    if status:
+        raise RuntimeError(f"linkage kernel rejected its network (status {status})")
 
 
 def linkage_matroid(presentation: Presentation) -> Matroid:
@@ -415,20 +521,47 @@ def brute_force_linking_oracle(
     return best(0, frozenset())
 
 
+def kuhn_matching(
+    elements: Sequence, n_parts: int, contains: Callable[[int, object], bool]
+) -> list | None:
+    """Match each element to a distinct part containing it (Kuhn search).
+
+    ``contains(p, e)`` says whether part p contains element e. Returns
+    the element matched into each part (None for a part left free), or
+    None if some element cannot be matched. Each element's augmenting
+    path is searched depth first, trying parts in index order; the path
+    is kept on an explicit stack, so a call leaves no reference cycle.
+    """
+    owner: list = [None] * n_parts
+    for e in elements:
+        seen: set[int] = set()
+        path = [[e, 0]]  # elements on the augmenting path, with the next part to try
+        while path:
+            frame = path[-1]
+            x, p = frame
+            while p < n_parts and (p in seen or not contains(p, x)):
+                p += 1
+            if p == n_parts:
+                path.pop()
+                continue
+            frame[1] = p + 1
+            seen.add(p)
+            if owner[p] is None:
+                for y, after in path:
+                    owner[after - 1] = y
+                break
+            path.append([owner[p], 0])
+        else:
+            return None
+    return owner
+
+
 def _matchable(element_bits: Sequence[int], part_masks: Sequence[int]) -> bool:
     """Can the elements be matched into distinct parts that contain them?"""
-    owner = [-1] * len(part_masks)
-
-    def assign(e: int, seen: set[int]) -> bool:
-        for p, pm in enumerate(part_masks):
-            if pm >> e & 1 and p not in seen:
-                seen.add(p)
-                if owner[p] < 0 or assign(owner[p], seen):
-                    owner[p] = e
-                    return True
-        return False
-
-    return all(assign(e, set()) for e in element_bits)
+    return (
+        kuhn_matching(element_bits, len(part_masks), lambda p, e: part_masks[p] >> e & 1)
+        is not None
+    )
 
 
 def transversal_duality_check(presentation: Presentation) -> bool:

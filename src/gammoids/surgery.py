@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, Presentation, is_linked, max_linking
+from .digraph import Digraph, Presentation, is_linked, kuhn_matching, max_linking
 from .errors import (
     GroundSetTooLarge,
     IsLoop,
@@ -66,26 +66,10 @@ def _match_into_parts(
     elements: list[str], part_owners: list[str], part_sets: list[frozenset[str]]
 ) -> dict[str, str] | None:
     """Match each element to a distinct part containing it (Kuhn search)."""
-    owner_of_part: list[str | None] = [None] * len(part_sets)
-
-    def assign(e: str, seen: set[int]) -> bool:
-        for k, part in enumerate(part_sets):
-            if e in part and k not in seen:
-                seen.add(k)
-                prev = owner_of_part[k]
-                if prev is None or assign(prev, seen):
-                    owner_of_part[k] = e
-                    return True
-        return False
-
-    for e in elements:
-        if not assign(e, set()):
-            return None
-    out: dict[str, str] = {}
-    for k, e in enumerate(owner_of_part):
-        if e is not None:
-            out[e] = part_owners[k]
-    return out
+    owner_of_part = kuhn_matching(elements, len(part_sets), lambda k, e: e in part_sets[k])
+    if owner_of_part is None:
+        return None
+    return {e: part_owners[k] for k, e in enumerate(owner_of_part) if e is not None}
 
 
 def retarget(p: Presentation, basis, *, verify: bool = True) -> Presentation:

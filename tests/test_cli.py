@@ -1,11 +1,12 @@
 import copy
 import hashlib
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
-from gammoids import certificate
+from gammoids import certificate, construction
 from gammoids.certificate import (
     certificate_from_doc,
     certificate_to_doc,
@@ -24,6 +25,15 @@ def runner():
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+# 25 isolated vertices, all ground and targets: one ground element past the cap
+WIDE_DOC = {
+    "vertices": [f"g{i}" for i in range(25)],
+    "arcs": [],
+    "ground": [f"g{i}" for i in range(25)],
+    "targets": [f"g{i}" for i in range(25)],
+}
 
 
 def u24_with_vertex(label):
@@ -122,6 +132,46 @@ class TestBuildCommand:
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert f"too large: {message} exceeds cap 3" in result.output
+
+    def test_ground_cap_exit(self, runner):
+        result = runner.invoke(main, ["build"], input=json.dumps(WIDE_DOC))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "too large: 25 ground elements exceeds cap 24" in result.output
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_must_be_positive(self, runner, jobs):
+        result = runner.invoke(main, ["build", "--jobs", jobs], input=json.dumps(U24_DOC))
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.output
+
+    @pytest.mark.parametrize(
+        "cpus, jobs, pools",
+        [(3, "64", [3]), (None, "64", []), (64, "64", [11]), (4, "1", [])],
+        ids=["cpu-capped", "cpu-unknown", "element-capped", "serial"],
+    )
+    def test_jobs_pool_is_capped(self, runner, monkeypatch, cpus, jobs, pools):
+        opened = []
+
+        class RecordingPool:  # runs the tasks in this process
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(construction, "ProcessPoolExecutor", RecordingPool)
+        result = runner.invoke(main, ["build", "--jobs", jobs], input=json.dumps(U24_DOC))
+        assert result.exit_code == 0, result.output
+        assert opened == pools  # the u24 result has 11 elements
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SHA256["u24"]
 
     def test_branch_option(self, runner, tmp_path):
         inp = tmp_path / "in.json"
@@ -245,6 +295,21 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert "too large: minors[0].deletion: " in result.output
+
+    @pytest.mark.parametrize(
+        "where", ["minors[0].deletion", "minors[10].contraction", "recipe.input.presentation"]
+    )
+    def test_ground_cap_exit(self, runner, u24_cert_doc, where):
+        doc = copy.deepcopy(u24_cert_doc)
+        if where.startswith("minors"):
+            k, side = where[len("minors[") :].split("].")
+            doc["minors"][int(k)][side]["presentation"] = WIDE_DOC
+        else:
+            doc["recipe"]["input"]["presentation"] = WIDE_DOC
+        result = runner.invoke(main, ["verify"], input=json.dumps(doc))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert f"too large: {where}: 25 ground elements exceeds cap 24" in result.output
 
     def test_schema_error_is_parse_error(self, runner, tmp_path, u24_cert_doc):
         doc = copy.deepcopy(u24_cert_doc)

@@ -1,11 +1,19 @@
+import gc
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import uniform
-from gammoids.corpus import random_digraph, random_presentation, random_vertex_subset
+from gammoids import certify, construct, digraph, parse_presentation
+from gammoids.certificate import certificate_to_doc, verify_certificate
+from gammoids.corpus import RANK3_DOC, random_digraph, random_presentation, random_vertex_subset
 from gammoids.digraph import (
     Digraph,
     Presentation,
@@ -18,6 +26,25 @@ from gammoids.digraph import (
 )
 from gammoids.errors import GraphTooLarge, GroundSetTooLarge, NotStrict
 from gammoids.matroid import Matroid
+
+
+requires_kernel = pytest.mark.skipif(
+    digraph.ENGINE != "c", reason="the C kernel is not loaded (no compiler, or its build failed)"
+)
+
+
+@pytest.fixture
+def python_engine(monkeypatch):
+    """Run the Python enumeration, the kernel's reference and fallback."""
+    monkeypatch.setattr(digraph, "_KERNEL", None)
+
+
+def both_engines(p: Presentation, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
+    args = (p.graph, p.ground, p.targets)
+    kernel = digraph._linkage_independence(*args)
+    with monkeypatch.context() as m:
+        m.setattr(digraph, "_KERNEL", None)
+        return kernel, digraph._linkage_independence(*args)
 
 
 def plain_linkage_matroid(p: Presentation) -> Matroid:
@@ -120,6 +147,16 @@ class TestLinkageMatroid:
         labels = [f"g{i}" for i in range(25)]
         with pytest.raises(GroundSetTooLarge):
             linkage_matroid(Presentation(Digraph(labels), labels, labels))
+
+    def test_materialization_leaves_no_reference_cycle(self):
+        p = Presentation(Digraph("abcdtu", [("a", "t"), ("b", "u"), ("c", "u")]), "abcd", "tu")
+        gc.disable()
+        try:
+            gc.collect()
+            assert linkage_matroid(p).rank == 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_unused_outside_vertex_can_be_dropped(self):
         # delete a vertex outside ground and targets that no linking of any
@@ -244,6 +281,128 @@ class TestReverseSearch:
             seen["coloop"] += any(m.delete([g]).rank < m.rank for g in p.ground)
             seen["parallel pair"] += any(c.bit_count() == 2 for c in m.circuit_masks())
         assert all(seen.values()), seen
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestLinkageMatroidPythonEngine(TestLinkageMatroid):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestLinkageDifferentialPythonEngine(TestLinkageDifferential):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestReverseSearchPythonEngine(TestReverseSearch):
+    pass
+
+
+@requires_kernel
+class TestKernel:
+    """The C kernel marks exactly the sets the Python enumeration marks."""
+
+    def test_random_presentations(self, monkeypatch):
+        rng = random.Random(0xC0DE)
+        for _ in range(500):
+            p = random_presentation(rng, max_vertices=10)
+            kernel, python = both_engines(p, monkeypatch)
+            assert np.array_equal(kernel, python), p
+
+    def test_every_rank3_materialization(self, monkeypatch):
+        seen = []
+        enumerate_linked = digraph._linkage_independence
+
+        def spy(graph, ground, targets):
+            seen.append(Presentation(graph, ground, targets))
+            return enumerate_linked(graph, ground, targets)
+
+        with monkeypatch.context() as m:
+            m.setattr(digraph, "_linkage_independence", spy)
+            cert = certify(construct(parse_presentation(RANK3_DOC)))
+            verify_certificate(certificate_to_doc(cert))
+        assert len(seen) > 50 and max(len(p.ground) for p in seen) == 14
+        for p in seen:
+            kernel, python = both_engines(p, monkeypatch)
+            assert np.array_equal(kernel, python), p
+
+    def test_inconsistent_network_is_refused(self):
+        net = digraph._FlowNetwork(Digraph("ab", [("a", "b")]), "b")
+        n_caps = len(net.base)
+
+        def call(heads=net.heads, in_node=(0, 2), rank=1):
+            arrays = [
+                np.array(heads, dtype=np.int32),
+                np.cumsum([0] + [len(out) for out in net.adj], dtype=np.int32),
+                np.array([a for out in net.adj for a in out], dtype=np.int32),
+                np.frombuffer(net.base, dtype=np.uint8),
+                np.array(in_node, dtype=np.int32),
+                np.array(net.src_arc, dtype=np.int32),
+                np.zeros(4, dtype=np.uint8),
+            ]
+            heads, adj_start, adj, base, in_nodes, sources, indep = (a.ctypes.data for a in arrays)
+            return digraph._KERNEL(
+                net.n_nodes, net.snk, n_caps, heads, adj_start, adj, base,
+                2, in_nodes, sources, rank, indep,
+            )
+
+        assert call() == 0
+        assert call(heads=[net.n_nodes] + net.heads[1:]) == 2  # a head out of range
+        assert call(heads=net.heads[1:] + net.heads[:1]) == 2  # twins that disagree
+        assert call(in_node=(0, -1)) == 2
+        assert call(rank=3) == 2  # more than the ground
+
+
+# a fresh interpreter imports the package with a given C compiler and
+# cache directory, and prints its engine and a few linkage tables
+LOAD_SCRIPT = """
+import json, random, sys, sysconfig
+if sys.argv[1]:
+    sysconfig.get_config_vars()["CC"] = sys.argv[1]
+from gammoids import digraph
+from gammoids.corpus import random_presentation
+rng = random.Random(7)
+tables = [digraph.linkage_matroid(random_presentation(rng)).table.tolist() for _ in range(30)]
+print(json.dumps([digraph.ENGINE, tables]))
+"""
+
+
+def import_in_fresh_interpreter(cache: Path, cc: str = "") -> tuple[str, list]:
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    env["PYTHONPATH"] = str(Path(digraph.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_SCRIPT, cc],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    engine, tables = json.loads(done.stdout)
+    rng = random.Random(7)
+    expected = [linkage_matroid(random_presentation(rng)).table.tolist() for _ in range(30)]
+    assert tables == expected
+    return engine
+
+
+class TestKernelBuild:
+    def test_missing_compiler_falls_back_to_python(self, tmp_path):
+        assert import_in_fresh_interpreter(tmp_path, "/nonexistent/bin/cc") == "python"
+        assert list((tmp_path / "gammoids").iterdir()) == []  # no partial library left
+
+    def test_cache_others_can_write_is_not_used(self, tmp_path):
+        cache = tmp_path / "gammoids"
+        cache.mkdir()
+        cache.chmod(0o777)
+        assert import_in_fresh_interpreter(tmp_path) == "python"
+        assert list(cache.iterdir()) == []
+
+    @requires_kernel
+    def test_cold_cache_compiles_once(self, tmp_path):
+        assert import_in_fresh_interpreter(tmp_path) == "c"
+        cache = tmp_path / "gammoids"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        (library,) = cache.iterdir()
+        assert library.name.startswith("linkage-") and library.suffix == ".so"
+        built = library.stat().st_mtime_ns
+        assert import_in_fresh_interpreter(tmp_path) == "c"
+        assert [p.stat().st_mtime_ns for p in cache.iterdir()] == [built]
 
 
 class TestBruteForceOracle:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import uniform
 from gammoids.corpus import random_presentation
-from gammoids.digraph import Digraph, Presentation
+from gammoids.digraph import Digraph, Presentation, _matchable
 from gammoids.errors import (
     IsLoop,
     LabelCollision,
@@ -16,6 +17,7 @@ from gammoids.errors import (
 )
 from gammoids.matroid import Matroid
 from gammoids.surgery import (
+    _match_into_parts,
     add_coloop,
     contract_any,
     contract_target,
@@ -283,3 +285,19 @@ class TestVerifyFlag:
             retarget(p, "a", verify=False)
         with pytest.raises(LabelCollision):
             free_extension(p, "a", verify=False)
+
+
+def test_matchings_leave_no_reference_cycle():
+    # b can only be matched by moving a from part p to part q: one
+    # augmenting path of two steps through each matcher
+    gc.disable()
+    try:
+        gc.collect()
+        assert _match_into_parts(["a", "b"], ["p", "q"], [frozenset("ab"), frozenset("a")]) == {
+            "a": "q",
+            "b": "p",
+        }
+        assert _matchable([0, 1], [0b11, 0b01])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
