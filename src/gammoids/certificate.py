@@ -187,8 +187,13 @@ def _check_certificate_schema(doc: Any) -> None:
     if not isinstance(em, dict) or set(em) != {"ground", "bases"}:
         raise ParseError("recipe.excluded_minor must carry ground and bases")
     ground = _string_list(em["ground"], "recipe.excluded_minor.ground")
-    if not ground or len(ground) > MAX_GROUND:
+    if not ground:
         raise ParseError("excluded minor ground set has a bad size")
+    if len(ground) > MAX_GROUND:
+        raise GroundSetTooLarge(
+            f"recipe.excluded_minor.ground: {len(ground)} ground elements exceeds cap "
+            f"{MAX_GROUND}"
+        )
     if not isinstance(em["bases"], list) or not em["bases"]:
         raise ParseError("excluded minor must list at least one basis")
     for basis in em["bases"]:

@@ -62,21 +62,21 @@ def _say(msg: str) -> None:
     click.echo(msg, err=True)
 
 
-def _report(bundle: Bundle, cert: Certificate) -> None:
+def _report(bundle: Bundle, cert: Certificate) -> str:
+    """One line per claim verdict, then the certificate summary."""
+    lines = []
     for name, verdict in cert.claims.items():
+        line = f"{name} {'OK' if verdict else 'FAILED'}"
         if name == "ingleton_violated":
-            _say(
-                f"{name} {'OK' if verdict else 'FAILED'} "
-                f"({cert.ingleton['lhs']} > {cert.ingleton['rhs']})"
-            )
-        else:
-            _say(f"{name} {'OK' if verdict else 'FAILED'}")
+            line += f" ({cert.ingleton['lhs']} > {cert.ingleton['rhs']})"
+        lines.append(line)
     m = bundle.result
     status = "COMPLETE" if cert.complete else "INCOMPLETE"
-    _say(
+    lines.append(
         f"certificate {status}: {m.size} elements, rank {m.rank}, "
         f"{2 * len(cert.minors)} minor presentations verified"
     )
+    return "\n".join(lines)
 
 
 @click.group()
@@ -119,7 +119,7 @@ def build(input_path: str, output_path: str, branch: str, jobs: int, max_element
         _say(f"claim failed: {exc}")
         sys.exit(EXIT_CLAIM_FAILED)
     _write_text(output_path, certificate_to_json(cert))
-    _report(bundle, cert)
+    _say(_report(bundle, cert))
     sys.exit(EXIT_OK if cert.complete else EXIT_CLAIM_FAILED)
 
 
@@ -167,19 +167,7 @@ def demo(name: str) -> None:
     except ClaimFailed as exc:
         click.echo(f"claim failed: {exc}")
         sys.exit(EXIT_CLAIM_FAILED)
-    for claim, verdict in cert.claims.items():
-        if claim == "ingleton_violated":
-            click.echo(
-                f"{claim} {'OK' if verdict else 'FAILED'} "
-                f"({cert.ingleton['lhs']} > {cert.ingleton['rhs']})"
-            )
-        else:
-            click.echo(f"{claim} {'OK' if verdict else 'FAILED'}")
-    click.echo(
-        f"certificate {'COMPLETE' if cert.complete else 'INCOMPLETE'}: "
-        f"{bundle.result.size} elements, rank {bundle.result.rank}, "
-        f"{2 * len(cert.minors)} minor presentations verified"
-    )
+    click.echo(_report(bundle, cert))
     sys.exit(EXIT_OK if cert.complete else EXIT_CLAIM_FAILED)
 
 

@@ -260,9 +260,18 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
 
     block_c = ("C#1", "C#2")
     block_d = tuple(f"D#{k + 1}" for k in range(r + 1))
+    relaxed_set = block_c + block_d
 
     branches: dict[int, Branch] = {}
+    # the circuit families each branch's gadget and bypass must show
+    gadget_families: dict[int, list[tuple[str, ...]]] = {}
+    bypass_families: dict[int, list[tuple[str, ...]]] = {}
     for i, s_own, s_far in ((1, s1, s2), (2, s2, s1)):
+        v_own, v_far = APEXES[i - 1], APEXES[2 - i]
+        own_c, own_d = s_own + block_c + (v_own,), s_own + block_d + (v_own,)
+        far_c, far_d = s_far + block_c + (v_far,), s_far + block_d + (v_far,)
+        gadget_families[i] = [relaxed_set, own_c, own_d, far_c, far_d]
+        bypass_families[i] = [far_c, own_d, far_d]
         rebased = retarget(norm.presentation, s_own)
         apexed, target_copy = _build_apexed(rebased, s_own, s_far, i)
         gadget = _build_gadget(apexed, target_copy, block_c, block_d, i)
@@ -293,19 +302,8 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     claims["apex_contraction_restores_input"] = True
 
     for i in (1, 2):
-        b = branches[i]
-        s_own = s1 if i == 1 else s2
-        s_far = s2 if i == 1 else s1
-        v_own, v_far = APEXES[i - 1], APEXES[2 - i]
-        families = [
-            block_c + block_d,
-            s_own + block_c + (v_own,),
-            s_own + block_d + (v_own,),
-            s_far + block_c + (v_far,),
-            s_far + block_d + (v_far,),
-        ]
         _check_circuit_families(
-            b.gadget_matroid, families, block_c + block_d, "gadget_circuit_families"
+            branches[i].gadget_matroid, gadget_families[i], relaxed_set, "gadget_circuit_families"
         )
     claims["gadget_circuit_families"] = True
 
@@ -315,21 +313,11 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     gadget = branches[1].gadget_matroid
 
     for i in (1, 2):
-        b = branches[i]
-        s_own = s1 if i == 1 else s2
-        s_far = s2 if i == 1 else s1
-        v_own, v_far = APEXES[i - 1], APEXES[2 - i]
-        families = [
-            s_far + block_c + (v_far,),
-            s_own + block_d + (v_own,),
-            s_far + block_d + (v_far,),
-        ]
         _check_circuit_families(
-            b.bypass_matroid, families, block_c + block_d, "bypass_circuit_families"
+            branches[i].bypass_matroid, bypass_families[i], relaxed_set, "bypass_circuit_families"
         )
     claims["bypass_circuit_families"] = True
 
-    relaxed_set = block_c + block_d
     if not gadget.is_circuit_hyperplane(relaxed_set):
         raise ClaimFailed(
             "relaxed_set_is_circuit_hyperplane",

@@ -31,12 +31,12 @@ compiler, or if any step fails, the same enumeration runs in Python
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shlex
 import subprocess
 import sysconfig
 import tempfile
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -63,12 +63,13 @@ def _load_kernel():
         return None
     try:
         command = shlex.split(cc) + ["-O2", "-shared", "-fPIC"]
-        key = hashlib.sha256(source.read_bytes())
-        key.update("\0".join(command).encode())
-        key.update(str(sysconfig.get_config_var("EXT_SUFFIX")).encode())
+        # crc32, not hashlib: hashlib loads OpenSSL into every process
+        key = zlib.crc32(source.read_bytes())
+        key = zlib.crc32("\0".join(command).encode(), key)
+        key = zlib.crc32(str(sysconfig.get_config_var("EXT_SUFFIX")).encode(), key)
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
         cache = cache / "gammoids"
-        library = cache / f"linkage-{key.hexdigest()}.so"
+        library = cache / f"linkage-{key:08x}.so"
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         owner = cache.stat()
         if owner.st_uid != os.getuid() or owner.st_mode & 0o022:

@@ -1,17 +1,20 @@
 """Finite matroids with fully materialized rank tables.
 
 Subsets of the ground set are encoded as integer bitmasks over the fixed
-ground ordering: bit ``i`` stands for ``ground[i]``. Every operation is
-exact and backed by exhaustive enumeration over all ``2**n`` subsets,
-which caps ground sets at :data:`MAX_GROUND` elements. Subset-valued
-results are always listed in ascending mask order so that repeated runs
-are byte-identical.
+ground ordering: bit ``i`` stands for ``ground[i]``. A rank table holds
+the rank of every mask at that index, so viewed as the n-cube
+``table.reshape((2,) * n)`` its axis ``n - 1 - b`` holds bit ``b``: minors
+are slices of the cube, relabelings are transpositions, and subset
+passes run along one axis at a time. Every operation is exact and backed
+by exhaustive enumeration over all ``2**n`` subsets, which caps ground
+sets at :data:`MAX_GROUND` elements. Subset-valued results are always
+listed in ascending mask order so that repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,16 +35,6 @@ def _popcounts(n: int) -> np.ndarray:
         table.setflags(write=False)
         _PC[n] = table
     return table
-
-
-def _remap(table: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Index ``table`` by masks whose bit k is the old bit positions[k]."""
-    size = 1 << len(positions)
-    new = np.arange(size, dtype=np.int64)
-    old = np.zeros(size, dtype=np.int64)
-    for k, p in enumerate(positions):
-        old |= ((new >> k) & 1) << p
-    return table[old]
 
 
 def _with_zero_bits(k: int, *bits: int) -> int:
@@ -226,30 +219,25 @@ class Matroid:
 
     # -- circuits ---------------------------------------------------------
 
+    def _circuit_indicator(self) -> np.ndarray:
+        pc = _popcounts(self.size)
+        indep = self.table == pc
+        # a set of rank |X| - 1 all of whose children X - b are independent
+        circuit = self.table == pc - 1
+        for b in range(self.size):
+            halves = circuit.reshape(-1, 2, 1 << b)
+            halves[:, 1] &= indep.reshape(-1, 2, 1 << b)[:, 0]
+        return circuit
+
     def circuit_masks(self) -> list[int]:
         """Minimal dependent subsets, ascending mask order."""
-        pc = _popcounts(self.size)
-        table = self.table
-        out = []
-        for mask in np.nonzero(table == pc - 1)[0]:
-            mask = int(mask)
-            m = mask
-            while m:
-                bit = m & -m
-                child = mask ^ bit
-                if int(table[child]) != child.bit_count():
-                    break
-                m ^= bit
-            else:
-                out.append(mask)
-        return out
+        return np.nonzero(self._circuit_indicator())[0].tolist()
 
     def circuits(self) -> list[tuple[str, ...]]:
         return [self.labels_of(m) for m in self.circuit_masks()]
 
     def nonspanning_circuit_masks(self) -> list[int]:
-        rank = self.rank
-        return [m for m in self.circuit_masks() if int(self.table[m]) < rank]
+        return np.nonzero(self._circuit_indicator() & (self.table < self.rank))[0].tolist()
 
     def nonspanning_circuits(self) -> list[tuple[str, ...]]:
         return [self.labels_of(m) for m in self.nonspanning_circuit_masks()]
@@ -261,26 +249,26 @@ class Matroid:
 
     # -- minors, dual, relaxation ------------------------------------------
 
-    def delete(self, labels: Iterable[str]) -> "Matroid":
-        gone = self.mask_of(labels)
-        keep = [i for i in range(self.size) if not gone >> i & 1]
+    def _minor(self, deleted: int, contracted: int) -> "Matroid":
+        """Delete the ``deleted`` mask and contract ``contracted``: each removed
+        element's cube axis is fixed at 0 or 1, the kept axes stay in order."""
+        n = self.size
+        index = tuple(
+            0 if deleted >> b & 1 else 1 if contracted >> b & 1 else slice(None)
+            for b in reversed(range(n))
+        )
+        table = self.table.reshape((2,) * n)[index]
+        if contracted:
+            table = (table.astype(np.int16) - int(self.table[contracted])).astype(np.uint8)
         return Matroid(
-            [self.ground[i] for i in keep], _remap(np.asarray(self.table), keep)
+            self.labels_of(((1 << n) - 1) & ~(deleted | contracted)), table.reshape(-1)
         )
 
+    def delete(self, labels: Iterable[str]) -> "Matroid":
+        return self._minor(self.mask_of(labels), 0)
+
     def contract(self, labels: Iterable[str]) -> "Matroid":
-        gone = self.mask_of(labels)
-        keep = [i for i in range(self.size) if not gone >> i & 1]
-        base = int(self.table[gone])
-        size = 1 << len(keep)
-        new = np.arange(size, dtype=np.int64)
-        old = np.full(size, gone, dtype=np.int64)
-        for k, p in enumerate(keep):
-            old |= ((new >> k) & 1) << p
-        return Matroid(
-            [self.ground[i] for i in keep],
-            (self.table[old].astype(np.int16) - base).astype(np.uint8),
-        )
+        return self._minor(0, self.mask_of(labels))
 
     def dual(self) -> "Matroid":
         pc = _popcounts(self.size).astype(np.int16)
@@ -332,8 +320,11 @@ class Matroid:
             return False
         if self.ground == other.ground:
             return bool(np.array_equal(self.table, other.table))
-        positions = [other._index[g] for g in self.ground]
-        return bool(np.array_equal(self.table, _remap(np.asarray(other.table), positions)))
+        n = self.size
+        # this cube's axis n-1-b is ground[b]; find that label's axis in other's
+        axes = [n - 1 - other._index[g] for g in reversed(self.ground)]
+        relabeled = other.table.reshape((2,) * n).transpose(axes).ravel()
+        return bool(np.array_equal(self.table, relabeled))
 
     def ingleton_check(
         self,
@@ -406,7 +397,7 @@ class Matroid:
             raise AxiomViolation("rank of the empty set is not 0")
         if n == 0:
             return
-        # axis n-1-b of the cube is bit b; ranks are at most 24, so int8 is exact
+        # ranks are at most 24, so int8 is exact
         cube = table.view(np.int8).reshape((2,) * n)
         for b in range(n):
             step = np.diff(cube, axis=n - 1 - b)

@@ -20,7 +20,7 @@ from gammoids.digraph import (
     max_linking,
     transversal_duality_check,
 )
-from gammoids.errors import GammoidError
+from gammoids.errors import ReverifyFailed
 from gammoids.surgery import (
     contract_any,
     contract_target,
@@ -203,7 +203,11 @@ def test_criterion_8_relaxation_contract(u24_run, r3_run):
 
 
 def _mutations():
-    """50 deterministic single-field mutations, each expected to be caught."""
+    """50 deterministic single-field mutations of the u24 certificate.
+
+    Each entry is (name, location, mutate): verify must reject the mutated
+    document with :class:`ReverifyFailed` at ``location``.
+    """
     muts = []
 
     def claim_flip(name):
@@ -221,7 +225,7 @@ def _mutations():
         "block_minors_gammoid",
         "side_minors_gammoid",
     ):
-        muts.append((f"claims.{name}", claim_flip(name)))
+        muts.append((f"claims.{name}", f"claims.{name}", claim_flip(name)))
 
     def ing(field, delta):
         return lambda doc: doc["ingleton"].__setitem__(
@@ -229,37 +233,50 @@ def _mutations():
         )
 
     muts += [
-        ("ingleton.lhs+1", ing("lhs", 1)),
-        ("ingleton.lhs-1", ing("lhs", -1)),
-        ("ingleton.rhs+1", ing("rhs", 1)),
-        ("ingleton.rhs-1", ing("rhs", -1)),
-        ("ingleton.violated", lambda doc: doc["ingleton"].__setitem__("violated", False)),
-        ("ingleton.A.drop", lambda doc: doc["ingleton"]["A"].pop()),
-        ("ingleton.A.swap", lambda doc: doc["ingleton"]["A"].__setitem__(0, "C#1")),
-        ("ingleton.B.drop", lambda doc: doc["ingleton"]["B"].pop(0)),
-        ("ingleton.C.extend", lambda doc: doc["ingleton"]["C"].append("D#1")),
-        ("ingleton.D.drop", lambda doc: doc["ingleton"]["D"].pop()),
+        ("ingleton.lhs+1", "ingleton", ing("lhs", 1)),
+        ("ingleton.lhs-1", "ingleton", ing("lhs", -1)),
+        ("ingleton.rhs+1", "ingleton", ing("rhs", 1)),
+        ("ingleton.rhs-1", "ingleton", ing("rhs", -1)),
+        ("ingleton.violated", "ingleton",
+         lambda doc: doc["ingleton"].__setitem__("violated", False)),
+        ("ingleton.A.drop", "ingleton", lambda doc: doc["ingleton"]["A"].pop()),
+        ("ingleton.A.swap", "ingleton", lambda doc: doc["ingleton"]["A"].__setitem__(0, "C#1")),
+        ("ingleton.B.drop", "ingleton", lambda doc: doc["ingleton"]["B"].pop(0)),
+        ("ingleton.C.extend", "ingleton", lambda doc: doc["ingleton"]["C"].append("D#1")),
+        ("ingleton.D.drop", "ingleton", lambda doc: doc["ingleton"]["D"].pop()),
     ]
 
     def em(doc):
         return doc["recipe"]["excluded_minor"]
 
+    def pres(doc):
+        return doc["recipe"]["input"]["presentation"]
+
+    bases = "recipe.excluded_minor.bases"
     muts += [
-        ("bases.drop_last", lambda doc: em(doc)["bases"].pop()),
-        ("bases.drop_first", lambda doc: em(doc)["bases"].pop(0)),
-        ("bases.add_bogus", lambda doc: em(doc)["bases"].append(em(doc)["ground"][:5])),
-        ("bases.mutate_entry", lambda doc: em(doc)["bases"][0].__setitem__(0, em(doc)["ground"][-1])),
-        ("bases.duplicate", lambda doc: em(doc)["bases"].append(list(em(doc)["bases"][0]))),
-        ("ground.rename", lambda doc: em(doc)["ground"].__setitem__(0, "zz")),
-        ("recipe.delete.drop", lambda doc: doc["recipe"]["delete"].pop()),
-        ("recipe.delete.add", lambda doc: doc["recipe"]["delete"].append("v#1")),
-        ("recipe.contract.drop", lambda doc: doc["recipe"]["contract"].pop()),
-        ("recipe.contract.swap", lambda doc: doc["recipe"]["contract"].__setitem__(0, "C#1")),
-        ("input.arc.drop", lambda doc: doc["recipe"]["input"]["presentation"]["arcs"].pop()),
-        ("input.ground.drop", lambda doc: doc["recipe"]["input"]["presentation"]["ground"].pop()),
-        ("input.target.drop", lambda doc: doc["recipe"]["input"]["presentation"]["targets"].pop()),
-        ("input.bases.drop", lambda doc: doc["recipe"]["input"]["bases"].pop()),
-        ("input.bases.mutate", lambda doc: doc["recipe"]["input"]["bases"][0].__setitem__(0, "d")),
+        # the last basis is the relaxed set: without it the family is the
+        # gadget matroid, a matroid that satisfies the Ingleton inequality
+        ("bases.drop_last", "ingleton", lambda doc: em(doc)["bases"].pop()),
+        ("bases.drop_first", bases, lambda doc: em(doc)["bases"].pop(0)),
+        ("bases.add_bogus", bases, lambda doc: em(doc)["bases"].append(em(doc)["ground"][:5])),
+        ("bases.mutate_entry", bases,
+         lambda doc: em(doc)["bases"][0].__setitem__(0, em(doc)["ground"][-1])),
+        ("bases.duplicate", bases,
+         lambda doc: em(doc)["bases"].append(list(em(doc)["bases"][0]))),
+        ("ground.rename", bases, lambda doc: em(doc)["ground"].__setitem__(0, "zz")),
+        ("recipe.delete.drop", "recipe", lambda doc: doc["recipe"]["delete"].pop()),
+        ("recipe.delete.add", "recipe", lambda doc: doc["recipe"]["delete"].append("v#1")),
+        ("recipe.contract.drop", "recipe", lambda doc: doc["recipe"]["contract"].pop()),
+        ("recipe.contract.swap", "recipe",
+         lambda doc: doc["recipe"]["contract"].__setitem__(0, "C#1")),
+        # a valid presentation of another matroid: the recipe no longer recovers it
+        ("input.arc.drop", "recipe", lambda doc: pres(doc)["arcs"].pop()),
+        ("input.ground.drop", "recipe", lambda doc: pres(doc)["ground"].pop()),
+        ("input.target.drop", "recipe", lambda doc: pres(doc)["targets"].pop()),
+        ("input.bases.drop", "recipe.input.bases",
+         lambda doc: doc["recipe"]["input"]["bases"].pop()),
+        ("input.bases.mutate", "recipe.input.bases",
+         lambda doc: doc["recipe"]["input"]["bases"][0].__setitem__(0, "d")),
     ]
 
     def minor(k, side, action):
@@ -294,9 +311,11 @@ def _mutations():
         (7, "deletion", "arc.drop", arc_drop),
         (8, "contraction", "arcs.clear", arcs_clear),
     ]:
-        muts.append((f"minors[{k}].{side}.{name}", minor(k, side, action)))
+        muts.append((f"minors[{k}].{side}.{name}", f"minors[{k}].{side}", minor(k, side, action)))
 
-    muts.append(("minors.x.rename", lambda doc: doc["minors"][0].__setitem__("x", "b")))
+    muts.append(
+        ("minors.x.rename", "minors", lambda doc: doc["minors"][0].__setitem__("x", "b"))
+    )
     assert len(muts) == 50
     return muts
 
@@ -313,12 +332,13 @@ def test_criterion_9_certificate_robustness(u24_cert_doc, r3_run, tmp_path):
     verify_certificate(certificate_to_doc(r3_cert))
 
     caught = 0
-    for name, mutate in _mutations():
+    for name, location, mutate in _mutations():
         doc = copy.deepcopy(u24_cert_doc)
         mutate(doc)
         try:
             verify_certificate(doc)
-        except GammoidError:
+        except ReverifyFailed as exc:
+            assert exc.location == location, (name, str(exc))
             caught += 1
         else:
             raise AssertionError(f"mutation {name} was not detected")

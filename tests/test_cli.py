@@ -2,10 +2,14 @@ import copy
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gammoids
 from gammoids import certificate, construction
 from gammoids.certificate import (
     certificate_from_doc,
@@ -297,19 +301,35 @@ class TestVerifyCommand:
         assert "too large: minors[0].deletion: " in result.output
 
     @pytest.mark.parametrize(
-        "where", ["minors[0].deletion", "minors[10].contraction", "recipe.input.presentation"]
+        "where",
+        [
+            "minors[0].deletion",
+            "minors[10].contraction",
+            "recipe.input.presentation",
+            "recipe.excluded_minor.ground",
+        ],
     )
     def test_ground_cap_exit(self, runner, u24_cert_doc, where):
         doc = copy.deepcopy(u24_cert_doc)
         if where.startswith("minors"):
             k, side = where[len("minors[") :].split("].")
             doc["minors"][int(k)][side]["presentation"] = WIDE_DOC
-        else:
+        elif where == "recipe.input.presentation":
             doc["recipe"]["input"]["presentation"] = WIDE_DOC
+        else:
+            ground = doc["recipe"]["excluded_minor"]["ground"]
+            ground += [f"pad{i}" for i in range(25 - len(ground))]
         result = runner.invoke(main, ["verify"], input=json.dumps(doc))
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert f"too large: {where}: 25 ground elements exceeds cap 24" in result.output
+
+    def test_empty_excluded_minor_is_a_parse_error(self, runner, u24_cert_doc):
+        doc = copy.deepcopy(u24_cert_doc)
+        doc["recipe"]["excluded_minor"]["ground"] = []
+        result = runner.invoke(main, ["verify"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert "parse error: excluded minor ground set has a bad size" in result.output
 
     def test_schema_error_is_parse_error(self, runner, tmp_path, u24_cert_doc):
         doc = copy.deepcopy(u24_cert_doc)
@@ -335,6 +355,16 @@ class TestDemoCommand:
     def test_unknown_demo(self, runner):
         result = runner.invoke(main, ["demo", "nope"])
         assert result.exit_code == 2
+
+
+def test_import_does_not_load_openssl():
+    # hashlib's OpenSSL backend adds several MB to every CLI process
+    code = "import sys, gammoids.cli; print('_hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gammoids.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestCertificateObject:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import uniform
 from gammoids.errors import AxiomViolation, GroundSetTooLarge, NotACircuitHyperplane
@@ -298,3 +300,102 @@ class TestVerifyAxioms:
     def test_empty_set_rank(self):
         with pytest.raises(AxiomViolation, match="rank of the empty set is not 0"):
             Matroid("a", np.array([1, 1])).verify_axioms()
+
+
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of integer bit vectors (xor basis with distinct top bits)."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+# columns of a GF(2) matrix with up to 4 rows: 0 is a loop, repeats are parallel
+gf2_columns = st.lists(st.integers(0, 15), max_size=9)
+cube_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def gf2_ranks(cols) -> list[int]:
+    """The rank of every mask, from the definition."""
+    n = len(cols)
+    return [gf2_rank(cols[i] for i in range(n) if x >> i & 1) for x in range(1 << n)]
+
+
+def gf2_matroid(cols) -> Matroid:
+    return Matroid([f"e{i}" for i in range(len(cols))], np.array(gf2_ranks(cols)))
+
+
+class TestCubeOperations:
+    """Minors, circuits and relabeling against their definitions."""
+
+    @cube_settings
+    @given(gf2_columns, st.integers(0, 511))
+    @example([], 0)
+    @example([1, 2, 4, 3], 0b1111)  # everything
+    @example([0, 1, 0, 1, 2], 0b00111)  # two loops and a parallel element
+    def test_deletion_keeps_ranks(self, cols, chosen):
+        m = gf2_matroid(cols)
+        gone = m.labels_of(chosen & ((1 << m.size) - 1))
+        minor = m.delete(gone)
+        assert minor.ground == tuple(g for g in m.ground if g not in gone)
+        for x in range(1 << minor.size):
+            assert int(minor.table[x]) == m.rank_of(minor.labels_of(x))
+
+    @cube_settings
+    @given(gf2_columns, st.integers(0, 511))
+    @example([], 0)
+    @example([1, 2, 4, 3], 0b1111)  # everything
+    @example([0, 1, 0, 1, 2], 0b00111)  # two loops and a parallel element
+    def test_contraction_subtracts_rank(self, cols, chosen):
+        m = gf2_matroid(cols)
+        ranks = gf2_ranks(cols)
+        c = chosen & ((1 << m.size) - 1)
+        minor = m.contract(m.labels_of(c))
+        assert minor.ground == m.labels_of(~c & ((1 << m.size) - 1))
+        for x in range(1 << minor.size):
+            full = m.mask_of(minor.labels_of(x)) | c
+            assert int(minor.table[x]) == ranks[full] - ranks[c]
+
+    @cube_settings
+    @given(gf2_columns)
+    @example([])
+    @example([0, 3, 3, 1, 2])
+    def test_circuits_are_minimal_dependent_sets(self, cols):
+        ranks = gf2_ranks(cols)
+
+        def independent(x):
+            return ranks[x] == x.bit_count()
+
+        def proper_subsets(x):
+            sub = (x - 1) & x
+            while True:
+                yield sub
+                if not sub:
+                    return
+                sub = (sub - 1) & x
+
+        expected = [
+            x
+            for x in range(1, 1 << len(cols))
+            if not independent(x) and all(independent(s) for s in proper_subsets(x))
+        ]
+        assert gf2_matroid(cols).circuit_masks() == expected
+
+    @cube_settings
+    @given(gf2_columns, st.randoms(use_true_random=False), st.integers(0, 511))
+    @example([], random.Random(0), 0)
+    def test_equals_after_relabeling(self, cols, rng, entry):
+        m = gf2_matroid(cols)
+        order = list(m.ground)
+        rng.shuffle(order)
+        vectors = dict(zip(m.ground, cols))
+        shuffled = gf2_matroid([vectors[g] for g in order])
+        relabeled = Matroid(order, shuffled.table)
+        assert m.equals(relabeled) and relabeled.equals(m)
+        table = shuffled.table.copy()
+        table[entry % len(table)] += 1
+        changed = Matroid(order, table)
+        assert not m.equals(changed) and not changed.equals(m)
