@@ -11,8 +11,6 @@ from .construction import (
     Bundle,
     Certificate,
     MinorRecord,
-    MinorSide,
-    Normalized,
     certify,
     construct,
     normalize,
@@ -86,8 +84,6 @@ __all__ = [
     "MAX_GROUND",
     "Matroid",
     "MinorRecord",
-    "MinorSide",
-    "Normalized",
     "NotABasis",
     "NotACircuitHyperplane",
     "NotInGround",

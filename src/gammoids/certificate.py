@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .construction import CLAIM_NAMES, Certificate, MinorRecord, MinorSide
+from .construction import CLAIM_NAMES, Certificate, MinorRecord
 from .digraph import Digraph, Presentation
 from .errors import (
     AxiomViolation,
@@ -101,20 +101,15 @@ def parse_presentation(doc: Any) -> Presentation:
 
 
 def certificate_to_doc(cert: Certificate) -> dict:
+    # a Certificate is complete: every claim and record reads true
     return {
-        "claims": dict(cert.claims),
+        "claims": dict.fromkeys(CLAIM_NAMES, True),
         "ingleton": dict(cert.ingleton),
         "minors": [
             {
                 "x": rec.x,
-                "deletion": {
-                    "presentation": rec.deletion.presentation.to_doc(),
-                    "verified": rec.deletion.verified,
-                },
-                "contraction": {
-                    "presentation": rec.contraction.presentation.to_doc(),
-                    "verified": rec.contraction.verified,
-                },
+                "deletion": {"presentation": rec.deletion.to_doc(), "verified": True},
+                "contraction": {"presentation": rec.contraction.to_doc(), "verified": True},
             }
             for rec in cert.minors
         ],
@@ -128,24 +123,25 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_doc(doc: Any) -> Certificate:
-    """Decode a certificate document, checking schema only."""
+    """Decode a complete certificate document, checking schema only.
+
+    A ``false`` claim or record raises :class:`ReverifyFailed` where
+    ``verify_certificate`` would.
+    """
     _check_certificate_schema(doc)
+    _check_claims_true(doc)
+    for k, entry in enumerate(doc["minors"]):
+        for side in ("deletion", "contraction"):
+            _check_record_verified(entry[side], f"minors[{k}].{side}")
     minors = tuple(
         MinorRecord(
             x=entry["x"],
-            deletion=MinorSide(
-                parse_presentation(entry["deletion"]["presentation"]),
-                entry["deletion"]["verified"],
-            ),
-            contraction=MinorSide(
-                parse_presentation(entry["contraction"]["presentation"]),
-                entry["contraction"]["verified"],
-            ),
+            deletion=parse_presentation(entry["deletion"]["presentation"]),
+            contraction=parse_presentation(entry["contraction"]["presentation"]),
         )
         for entry in doc["minors"]
     )
     return Certificate(
-        claims=dict(doc["claims"]),
         ingleton=dict(doc["ingleton"]),
         minors=minors,
         recipe=dict(doc["recipe"]),
@@ -224,6 +220,17 @@ def _check_certificate_schema(doc: Any) -> None:
         raise ParseError("notes must be a list of strings")
 
 
+def _check_claims_true(doc: dict) -> None:
+    for name, verdict in doc["claims"].items():
+        if verdict is not True:
+            raise ReverifyFailed(f"claims.{name}", "certificate is not complete")
+
+
+def _check_record_verified(rec: dict, where: str) -> None:
+    if rec["verified"] is not True:
+        raise ReverifyFailed(where, "record is marked unverified")
+
+
 def verify_certificate(doc: Any) -> None:
     """Re-validate a certificate document from scratch.
 
@@ -233,10 +240,7 @@ def verify_certificate(doc: Any) -> None:
     the claimed minor and every recorded quantity recomputes.
     """
     _check_certificate_schema(doc)
-
-    for name, verdict in doc["claims"].items():
-        if verdict is not True:
-            raise ReverifyFailed(f"claims.{name}", "certificate is not complete")
+    _check_claims_true(doc)
 
     em = doc["recipe"]["excluded_minor"]
     try:
@@ -270,8 +274,7 @@ def verify_certificate(doc: Any) -> None:
         for side, minor in (("deletion", m.delete([x])), ("contraction", m.contract([x]))):
             where = f"minors[{k}].{side}"
             rec = entry[side]
-            if rec["verified"] is not True:
-                raise ReverifyFailed(where, "record is marked unverified")
+            _check_record_verified(rec, where)
             try:
                 pres = parse_presentation(rec["presentation"])
                 presented = pres.matroid

@@ -8,19 +8,27 @@ gammoid satisfies, it contains the input as a minor, and every
 single-element deletion and contraction comes with an explicitly verified
 gammoid presentation. Every claim is checked by exhaustive enumeration;
 nothing is taken on faith from the construction itself.
+
+This module is where identities are checked. The surgeries only check
+their inputs and build presentations. ``construct`` checks what they
+built through its claims and its recipe check, and ``certify`` compares
+each recorded presentation with the table-level minor it stands for.
+Each check raises :class:`ClaimFailed` when it fails, so a
+:class:`Certificate` exists only when every check has held.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import Digraph, Presentation
-from .errors import ClaimFailed, LabelCollision, TooLarge, VerificationFailed
+from .errors import ClaimFailed, LabelCollision, TooLarge
 from .matroid import MAX_GROUND, IngletonCheck, Matroid
 from .surgery import (
+    TwoBasesEmbedding,
     contract_any,
     delete_element,
     free_extension,
@@ -55,17 +63,6 @@ def _fresh(graph: Digraph, labels) -> None:
 
 
 @dataclass(frozen=True)
-class Normalized:
-    """Input re-presented so its ground set splits into two disjoint bases."""
-
-    presentation: Presentation
-    basis_one: tuple[str, ...]
-    basis_two: tuple[str, ...]
-    delete_back: tuple[str, ...]
-    contract_back: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Branch:
     """One symmetric half of the construction (index 1 or 2)."""
 
@@ -82,11 +79,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class Bundle:
-    """Everything the pipeline builds, claims included."""
+    """Everything the pipeline builds."""
 
     source: Presentation
     source_matroid: Matroid
-    normalized: Normalized
+    normalized: TwoBasesEmbedding
     base: Matroid                  # normalized input, two disjoint bases
     s1: tuple[str, ...]
     s2: tuple[str, ...]
@@ -101,7 +98,6 @@ class Bundle:
     ingleton_witness: dict[str, tuple[str, ...]]
     recipe_delete: tuple[str, ...]
     recipe_contract: tuple[str, ...]
-    claims: dict[str, bool] = field(default_factory=dict)
 
     @property
     def relaxed_set(self) -> tuple[str, ...]:
@@ -109,43 +105,29 @@ class Bundle:
 
 
 @dataclass(frozen=True)
-class MinorSide:
-    presentation: Presentation
-    verified: bool
-
-
-@dataclass(frozen=True)
 class MinorRecord:
+    """Presentations of the single-element deletion and contraction at x."""
+
     x: str
-    deletion: MinorSide
-    contraction: MinorSide
+    deletion: Presentation
+    contraction: Presentation
 
 
 @dataclass(frozen=True)
 class Certificate:
-    claims: dict[str, bool]
+    """A complete certificate: ``certify`` raises rather than return another."""
+
     ingleton: dict
     minors: tuple[MinorRecord, ...]
     recipe: dict
     notes: tuple[str, ...]
 
-    @property
-    def complete(self) -> bool:
-        return all(self.claims.values()) and all(
-            rec.deletion.verified and rec.contraction.verified for rec in self.minors
-        )
 
-
-def normalize(p: Presentation) -> Normalized:
+def normalize(p: Presentation) -> TwoBasesEmbedding:
     """Retarget to a greedy basis, then embed into a two-bases gammoid."""
     if not p.ground:
         raise ValueError("cannot normalize an empty ground set")
-    basis = p.matroid.greedy_basis()
-    rebased = retarget(p, basis)
-    emb = two_bases_embedding(rebased)
-    return Normalized(
-        emb.presentation, emb.basis_one, emb.basis_two, emb.delete_back, emb.contract_back
-    )
+    return two_bases_embedding(retarget(p, p.matroid.greedy_basis()))
 
 
 def _build_apexed(
@@ -288,49 +270,40 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
             bypass_matroid=bypass.matroid,
         )
 
-    claims: dict[str, bool] = {}
-
     if not branches[1].apexed_matroid.equals(branches[2].apexed_matroid):
         raise ClaimFailed("branch_matroids_equal", "the two apexed matroids differ")
-    claims["branch_matroids_equal"] = True
     core = branches[1].apexed_matroid
 
     if not core.contract(APEXES).equals(base):
         raise ClaimFailed(
             "apex_contraction_restores_input", "contracting both apexes lost the input"
         )
-    claims["apex_contraction_restores_input"] = True
 
     for i in (1, 2):
         _check_circuit_families(
             branches[i].gadget_matroid, gadget_families[i], relaxed_set, "gadget_circuit_families"
         )
-    claims["gadget_circuit_families"] = True
 
     if not branches[1].gadget_matroid.equals(branches[2].gadget_matroid):
         raise ClaimFailed("gadget_matroids_equal", "the two gadget matroids differ")
-    claims["gadget_matroids_equal"] = True
     gadget = branches[1].gadget_matroid
 
     for i in (1, 2):
         _check_circuit_families(
             branches[i].bypass_matroid, bypass_families[i], relaxed_set, "bypass_circuit_families"
         )
-    claims["bypass_circuit_families"] = True
 
     if not gadget.is_circuit_hyperplane(relaxed_set):
         raise ClaimFailed(
             "relaxed_set_is_circuit_hyperplane",
             "the union of the blocks is not a circuit-hyperplane",
         )
-    claims["relaxed_set_is_circuit_hyperplane"] = True
     result = gadget.relax(relaxed_set)
 
-    if not result.delete(relaxed_set).equals(core) or not result.delete(
-        relaxed_set
-    ).contract(APEXES).equals(base):
+    # with apex_contraction_restores_input, this puts the normalized input
+    # in the result as a minor
+    if not result.delete(relaxed_set).equals(core):
         raise ClaimFailed("input_minor_present", "recovering the input minor failed")
-    claims["input_minor_present"] = True
 
     witness = {
         "A": s1 + (APEXES[0],),
@@ -359,12 +332,12 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
         raise ClaimFailed(
             "ingleton_violated", f"expected {5 * r + 11} > {5 * r + 10}, got {check}"
         )
-    claims["ingleton_violated"] = True
 
+    # the one check of the retargeting in normalize
     recipe_delete = relaxed_set + norm.delete_back
     recipe_contract = APEXES + norm.contract_back
     if not result.delete(recipe_delete).contract(recipe_contract).equals(source_matroid):
-        raise VerificationFailed("recipe back to the original input did not verify")
+        raise ClaimFailed("input_minor_present", "the recipe does not recover the input")
 
     return Bundle(
         source=p,
@@ -384,7 +357,6 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
         ingleton_witness=witness,
         recipe_delete=recipe_delete,
         recipe_contract=recipe_contract,
-        claims=claims,
     )
 
 
@@ -392,7 +364,6 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
 class _CertifyContext:
     result: Matroid
     s1: frozenset[str]
-    s2: frozenset[str]
     block: frozenset[str]
     block_c: tuple[str, ...]
     block_d: tuple[str, ...]
@@ -400,7 +371,6 @@ class _CertifyContext:
     bypass_matroids: dict[int, Matroid]
     bypass_graphs: dict[int, Presentation]
     block_deleted: dict[str, Presentation]
-    default_branch: int
 
 
 def _block_deletion(gadget: Presentation, x: str) -> Presentation:
@@ -413,18 +383,17 @@ def _block_deletion(gadget: Presentation, x: str) -> Presentation:
 
 
 def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
-    # the surgeries run with verify=False: the comparison of each recorded
-    # presentation against the table-level minor below is the one check
+    # the comparison of each recorded presentation against the table-level
+    # minor below is the one check of the surgeries that built it
     m = ctx.result
     if x in ctx.block:
         claim = "block_minors_gammoid"
         if x in ctx.block_deleted:
             # certify built this same presentation and verified it
-            del_pres, del_ok = ctx.block_deleted[x], True
+            del_pres = ctx.block_deleted[x]
         else:
-            del_pres = _block_deletion(ctx.gadgets[ctx.default_branch], x)
-            del_ok = del_pres.matroid.equals(m.delete([x]))
-            if not del_ok:
+            del_pres = _block_deletion(ctx.gadgets[1], x)
+            if not del_pres.matroid.equals(m.delete([x])):
                 raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
 
         pool = ctx.block_d if x in ctx.block_c else ctx.block_c
@@ -433,55 +402,38 @@ def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
         # of M, and y is none: y lies in the relaxed circuit-hyperplane H, and
         # H - y plus any element outside H is a basis of M that misses y. So
         # y always comes back as a free extension.
-        contracted = contract_any(ctx.block_deleted[y], x, verify=False)
-        con_pres = free_extension(contracted, y, verify=False)
-        con_ok = con_pres.matroid.equals(m.contract([x]))
-        if not con_ok:
-            raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
+        con_pres = free_extension(contract_any(ctx.block_deleted[y], x), y)
     else:
         claim = "side_minors_gammoid"
         i = 1 if x in ctx.s1 or x == APEXES[0] else 2
-        bypass = ctx.bypass_graphs[i]
-        del_pres = delete_element(bypass, x, verify=False)
+        del_pres = delete_element(ctx.bypass_graphs[i], x)
         # the presented matroid is the bypass matroid restricted away from x,
         # by definition of restriction; the content of the check is that this
         # restriction agrees with deleting x from the result
-        del_ok = ctx.bypass_matroids[i].delete([x]).equals(m.delete([x]))
-        if not del_ok:
+        if not ctx.bypass_matroids[i].delete([x]).equals(m.delete([x])):
             raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
-
-        con_pres = contract_any(ctx.gadgets[i], x, verify=False)
-        con_ok = con_pres.matroid.equals(m.contract([x]))
-        if not con_ok:
-            raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
-    return MinorRecord(
-        x=x,
-        deletion=MinorSide(del_pres, del_ok),
-        contraction=MinorSide(con_pres, con_ok),
-    )
+        con_pres = contract_any(ctx.gadgets[i], x)
+    if not con_pres.matroid.equals(m.contract([x])):
+        raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
+    return MinorRecord(x=x, deletion=del_pres, contraction=con_pres)
 
 
-def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certificate:
+def certify(bundle: Bundle, *, jobs: int = 1) -> Certificate:
     """Produce the per-element minor certificates and assemble the document.
 
     Every recorded presentation is materialized once and compared with the
-    table-level deletion or contraction of the result. The surgeries that
-    build the contraction presentations therefore run with
-    ``verify=False``: their own checks would only repeat that comparison
-    on intermediate tables.
-
-    ``branch`` picks which gadget presentation backs the records for the
-    block elements ("both" behaves like 1); the structural claims always
-    cover both branches. Output is independent of ``jobs``; the pool has
-    at most one worker per CPU and per result element.
+    table-level deletion or contraction of the result; a mismatch raises
+    :class:`ClaimFailed`. Branch 1's gadget presentation backs the records
+    for the block elements; the structural claims cover both branches.
+    Output is independent of ``jobs``; the pool has at most one worker
+    per CPU and per result element.
     """
-    default_branch = 2 if branch == "2" else 1
     m = bundle.result
 
     block = frozenset(bundle.relaxed_set)
     block_deleted: dict[str, Presentation] = {}
     for y in (bundle.block_c[0], bundle.block_d[0]):
-        pres = _block_deletion(bundle.branches[default_branch].gadget, y)
+        pres = _block_deletion(bundle.branches[1].gadget, y)
         if not pres.matroid.equals(m.delete([y])):
             raise ClaimFailed(
                 "block_minors_gammoid", f"deletion presentation at {y!r} did not verify"
@@ -491,7 +443,6 @@ def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certifica
     ctx = _CertifyContext(
         result=m,
         s1=frozenset(bundle.s1),
-        s2=frozenset(bundle.s2),
         block=block,
         block_c=bundle.block_c,
         block_d=bundle.block_d,
@@ -499,7 +450,6 @@ def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certifica
         bypass_matroids={i: b.bypass_matroid for i, b in bundle.branches.items()},
         bypass_graphs={i: b.bypass for i, b in bundle.branches.items()},
         block_deleted=block_deleted,
-        default_branch=default_branch,
     )
 
     elements = list(m.ground)
@@ -509,18 +459,6 @@ def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certifica
             records = list(pool.map(_certify_element, [ctx] * len(elements), elements))
     else:
         records = [_certify_element(ctx, x) for x in elements]
-
-    claims = dict(bundle.claims)
-    claims["block_minors_gammoid"] = all(
-        rec.deletion.verified and rec.contraction.verified
-        for rec in records
-        if rec.x in block
-    )
-    claims["side_minors_gammoid"] = all(
-        rec.deletion.verified and rec.contraction.verified
-        for rec in records
-        if rec.x not in block
-    )
 
     ingleton_doc = {
         "A": list(bundle.ingleton_witness["A"]),
@@ -542,7 +480,7 @@ def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certifica
     }
     notes = (
         f"rank {bundle.r} input; result has {m.size} elements of rank {m.rank}",
-        f"branch {default_branch} presentations back the block element records",
+        "branch 1 presentations back the block element records",
         "side deletions are checked against the bypass matroid of the element's "
         "own branch, whose fan circuit families run through that branch's far apex",
         "the result admits no linkage presentation: it violates the rank "
@@ -550,7 +488,6 @@ def certify(bundle: Bundle, *, branch: str = "both", jobs: int = 1) -> Certifica
         "satisfies",
     )
     return Certificate(
-        claims=claims,
         ingleton=ingleton_doc,
         minors=tuple(records),
         recipe=recipe_doc,

@@ -53,7 +53,7 @@ class PreconditionViolated(GammoidError):
 
 
 class RetargetFailed(GammoidError):
-    """Re-targeted presentation did not reproduce the matroid.
+    """Re-targeting could not extend the basis or match the dual system.
 
     This never fires on a correct engine; it surfaces bugs instead of
     letting a wrong presentation flow into a certificate.
@@ -61,7 +61,7 @@ class RetargetFailed(GammoidError):
 
 
 class VerificationFailed(GammoidError):
-    """A mandatory post-surgery identity check failed (engine bug)."""
+    """An identity check of the two-bases embedding failed (engine bug)."""
 
 
 class ClaimFailed(GammoidError):

@@ -1,13 +1,15 @@
 """Surgeries on gammoid presentations.
 
-Each operation returns a new presentation and, by default, verifies that
-the presented matroid satisfies the operation's defining identity on the
-full rank table; a failure raises instead of returning. ``verify=False``
-(every surgery but ``add_coloop`` takes it) builds exactly the same
-presentation without materializing the result or any intermediate (``retarget`` and ``contract_any`` still read the input's
-matroid to check and choose a basis), for a caller that checks the final
-presentation itself: ``certify`` does, at the certificate boundary.
-Label-collision and membership errors raise in either mode.
+Each operation checks its input (membership, label collisions, the
+basis it is given) and builds a new presentation. It does not check that
+the presented matroid satisfies the operation's defining identity: that
+is checked where a presentation enters the certificate, in
+:mod:`gammoids.construction`, by ``construct``'s claims and recipe check
+and by ``certify``'s comparison of each record with the table-level
+minor. So no operation materializes its result; ``retarget``,
+``contract_any`` and ``free_extension`` with targets outside the ground
+set read the input's matroid. ``two_bases_embedding`` is the exception:
+it checks the partition and the recovery it returns.
 """
 
 from __future__ import annotations
@@ -29,37 +31,29 @@ from .errors import (
 from .matroid import MAX_GROUND
 
 
-def contract_target(p: Presentation, t: str, *, verify: bool = True) -> Presentation:
+def contract_target(p: Presentation, t: str) -> Presentation:
     """Contract an element that is also a target.
 
     Removing the vertex from the graph, the ground set, and the targets
-    presents the contraction; when ``verify`` is set, the identity is
-    asserted against the rank table of the table-level contraction.
+    presents the contraction.
     """
     if t not in p.ground or t not in p.targets:
         raise NotInSAndT(f"{t!r} must be both a ground element and a target")
-    result = Presentation(
+    return Presentation(
         p.graph.without_vertex(t),
         tuple(g for g in p.ground if g != t),
         tuple(x for x in p.targets if x != t),
     )
-    if verify and not result.matroid.equals(p.matroid.contract([t])):
-        raise VerificationFailed(f"target contraction at {t!r} did not verify")
-    return result
 
 
-def delete_element(p: Presentation, x: str, *, verify: bool = True) -> Presentation:
+def delete_element(p: Presentation, x: str) -> Presentation:
     """Delete a ground element: drop it from the ground set only.
 
-    Exact by definition of restriction, but asserted anyway when
-    ``verify`` is set.
+    Exact by definition of restriction.
     """
     if x not in p.ground:
         raise NotInGround(f"{x!r} is not a ground element")
-    result = p.with_ground(tuple(g for g in p.ground if g != x))
-    if verify and not result.matroid.equals(p.matroid.delete([x])):
-        raise VerificationFailed(f"element deletion at {x!r} did not verify")
-    return result
+    return p.with_ground(tuple(g for g in p.ground if g != x))
 
 
 def _match_into_parts(
@@ -72,20 +66,18 @@ def _match_into_parts(
     return {e: part_owners[k] for k, e in enumerate(owner_of_part) if e is not None}
 
 
-def retarget(p: Presentation, basis, *, verify: bool = True) -> Presentation:
+def retarget(p: Presentation, basis) -> Presentation:
     """Re-present the same matroid with the given basis as the target set.
 
     Works on the strict lift: extend the basis to a basis of the full
     vertex matroid, rebuild a presentation with that target set from the
     transversal system dual to the lift, then drop the extension vertices
-    and restrict back to the ground set. When ``verify`` is set, full
-    rank-table equality with the input matroid is checked; a mismatch
-    raises rather than guessing.
+    and restrict back to the ground set. A failed extension or matching
+    raises :class:`RetargetFailed` rather than guessing.
     """
     basis = tuple(basis)
-    m = p.matroid
     bset = set(basis)
-    if not bset <= set(p.ground) or not m.is_basis(basis):
+    if not bset <= set(p.ground) or not p.matroid.is_basis(basis):
         raise NotABasis(f"{sorted(basis)} is not a basis inside the ground set")
     if bset == set(p.targets):
         return p
@@ -129,22 +121,18 @@ def retarget(p: Presentation, basis, *, verify: bool = True) -> Presentation:
         if t not in bset:
             rebuilt = rebuilt.without_vertex(t)
 
-    result = Presentation(
+    return Presentation(
         rebuilt,
         p.ground,
         tuple(g for g in p.ground if g in bset),
     )
-    if verify and not result.matroid.equals(m):
-        raise RetargetFailed("re-targeted presentation does not reproduce the matroid")
-    return result
 
 
-def contract_any(p: Presentation, x: str, *, verify: bool = True) -> Presentation:
+def contract_any(p: Presentation, x: str) -> Presentation:
     """Contract an arbitrary non-loop element.
 
     Routes through a greedy basis containing the element: retarget so the
-    basis is the target set, then contract the element as a target. Both
-    steps get the ``verify`` flag.
+    basis is the target set, then contract the element as a target.
     """
     if x not in p.ground:
         raise NotInGround(f"{x!r} is not a ground element")
@@ -152,16 +140,16 @@ def contract_any(p: Presentation, x: str, *, verify: bool = True) -> Presentatio
     if m.is_loop(x):
         raise IsLoop(f"{x!r} is a loop; delete it instead of contracting")
     basis = m.greedy_basis(containing=(x,))
-    return contract_target(retarget(p, basis, verify=verify), x, verify=verify)
+    return contract_target(retarget(p, basis), x)
 
 
-def free_extension(p: Presentation, x: str, *, verify: bool = True) -> Presentation:
+def free_extension(p: Presentation, x: str) -> Presentation:
     """Add a new element in generic position (rank preserved).
 
     Requires the target set to be a basis of the presented matroid; the
-    new vertex gets one arc to every target. When ``verify`` is set, checks
-    that precondition, that the element is freely placed, and that
-    deleting it restores the input.
+    new vertex gets one arc to every target. Targets inside the ground set
+    always form a basis: each is its own one-vertex path, and no linking
+    is larger than the target set. Targets outside it must number the rank.
     """
     if x in p.graph.index:
         raise LabelCollision(f"{x!r} already names a vertex")
@@ -169,23 +157,10 @@ def free_extension(p: Presentation, x: str, *, verify: bool = True) -> Presentat
     gset = set(p.ground)
     if not (tset <= gset or tset.isdisjoint(gset)):
         raise PreconditionViolated("targets must lie inside or outside the ground set")
+    if not tset <= gset and len(p.targets) != p.matroid.rank:
+        raise PreconditionViolated("target count must equal the rank")
     graph = p.graph.with_vertices([x]).with_arcs([(x, t) for t in p.targets])
-    result = Presentation(graph, p.ground + (x,), p.targets)
-    if verify:
-        m = p.matroid
-        if tset <= gset:
-            if not m.is_basis(p.targets):
-                raise PreconditionViolated("targets must form a basis of the matroid")
-        elif len(p.targets) != m.rank:
-            raise PreconditionViolated("target count must equal the rank")
-        rm = result.matroid
-        if (
-            rm.rank != m.rank
-            or not rm.is_freely_placed(x)
-            or not rm.delete([x]).equals(m)
-        ):
-            raise VerificationFailed(f"free extension by {x!r} did not verify")
-    return result
+    return Presentation(graph, p.ground + (x,), p.targets)
 
 
 def add_coloop(p: Presentation, x: str) -> Presentation:
@@ -195,17 +170,8 @@ def add_coloop(p: Presentation, x: str) -> Presentation:
     star = "tstar"
     if star in p.graph.index or star == x:
         raise LabelCollision(f"{star!r} already names a vertex")
-    m = p.matroid
     graph = p.graph.with_vertices([x, star]).with_arcs([(x, star)])
-    result = Presentation(graph, p.ground + (x,), p.targets + (star,))
-    rm = result.matroid
-    if (
-        rm.rank != m.rank + 1
-        or not rm.is_freely_placed(x)
-        or not rm.delete([x]).equals(m)
-    ):
-        raise VerificationFailed(f"coloop extension by {x!r} did not verify")
-    return result
+    return Presentation(graph, p.ground + (x,), p.targets + (star,))
 
 
 @dataclass(frozen=True)

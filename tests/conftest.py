@@ -12,6 +12,13 @@ def uniform(ground: str, k: int) -> Matroid:
     return Matroid.from_independence_oracle(ground, lambda mask: mask.bit_count() <= k)
 
 
+def complete(doc: dict) -> bool:
+    """Every claim and every minor record of a certificate document reads true."""
+    return all(doc["claims"].values()) and all(
+        rec[side]["verified"] for rec in doc["minors"] for side in ("deletion", "contraction")
+    )
+
+
 @pytest.fixture(scope="session")
 def u24_run():
     presentation = parse_presentation(U24_DOC)

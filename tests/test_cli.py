@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import gammoids
+from conftest import complete
 from gammoids import certificate, construction
 from gammoids.certificate import (
     certificate_from_doc,
@@ -19,7 +20,14 @@ from gammoids.certificate import (
 )
 from gammoids.cli import main
 from gammoids.corpus import PIPELINE_DEMOS, RANK3_DOC, U24_DOC
-from gammoids.errors import ParseError, ReverifyFailed
+from gammoids.errors import (
+    AxiomViolation,
+    NotACircuitHyperplane,
+    ParseError,
+    RetargetFailed,
+    ReverifyFailed,
+    VerificationFailed,
+)
 
 
 @pytest.fixture()
@@ -177,18 +185,10 @@ class TestBuildCommand:
         assert opened == pools  # the u24 result has 11 elements
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == GOLDEN_SHA256["u24"]
 
-    def test_branch_option(self, runner, tmp_path):
-        inp = tmp_path / "in.json"
-        write_json(inp, U24_DOC)
-        for branch in ("1", "2", "both"):
-            out = tmp_path / f"cert-{branch}.json"
-            result = runner.invoke(
-                main, ["build", "-i", str(inp), "-o", str(out), "--branch", branch]
-            )
-            assert result.exit_code == 0
-        assert (tmp_path / "cert-1.json").read_text() == (
-            tmp_path / "cert-both.json"
-        ).read_text()
+    def test_branch_option_is_gone(self, runner):
+        result = runner.invoke(main, ["build", "--branch", "1"], input=json.dumps(U24_DOC))
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--branch" in result.output
 
     def test_jobs_option_matches_serial(self, runner, tmp_path):
         inp = tmp_path / "in.json"
@@ -357,6 +357,22 @@ class TestDemoCommand:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", [["build"], ["demo", "u24"]])
+@pytest.mark.parametrize("surgery", ["retarget", "contract_any"])  # construct, certify
+@pytest.mark.parametrize(
+    "error", [RetargetFailed, VerificationFailed, AxiomViolation, NotACircuitHyperplane]
+)
+def test_internal_check_failure_is_a_failed_claim(runner, monkeypatch, command, surgery, error):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(construction, surgery, failing)
+    result = runner.invoke(main, command, input=json.dumps(U24_DOC))
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    assert "claim failed: injected" in result.output
+
+
 def test_import_does_not_load_openssl():
     # hashlib's OpenSSL backend adds several MB to every CLI process
     code = "import sys, gammoids.cli; print('_hashlib' in sys.modules)"
@@ -371,7 +387,27 @@ class TestCertificateObject:
     def test_doc_round_trip(self, u24_cert_doc):
         cert = certificate_from_doc(copy.deepcopy(u24_cert_doc))
         assert certificate_to_doc(cert) == u24_cert_doc
-        assert cert.complete
+        assert complete(certificate_to_doc(cert))
+
+    @pytest.mark.parametrize(
+        "where, mutate",
+        [
+            ("claims.branch_matroids_equal",
+             lambda d: d["claims"].update(branch_matroids_equal=False)),
+            ("claims.side_minors_gammoid", lambda d: d["claims"].update(side_minors_gammoid=False)),
+            ("minors[0].deletion", lambda d: d["minors"][0]["deletion"].update(verified=False)),
+            ("minors[10].contraction",
+             lambda d: d["minors"][10]["contraction"].update(verified=False)),
+        ],
+    )
+    def test_incomplete_doc_is_refused(self, u24_cert_doc, where, mutate):
+        doc = copy.deepcopy(u24_cert_doc)
+        mutate(doc)
+        with pytest.raises(ReverifyFailed) as decoded:
+            certificate_from_doc(doc)
+        with pytest.raises(ReverifyFailed) as verified:
+            verify_certificate(doc)
+        assert decoded.value.location == verified.value.location == where
 
     def test_rank3_doc_parses(self):
         assert parse_presentation(RANK3_DOC).matroid.rank == 3

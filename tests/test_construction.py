@@ -1,11 +1,12 @@
+import dataclasses
 import random
 from itertools import combinations
 
 import pytest
 
-from conftest import uniform
+from conftest import complete, uniform
 from gammoids import certify, construct, construction, digraph, normalize, parse_presentation
-from gammoids.certificate import certificate_to_json
+from gammoids.certificate import certificate_to_doc, certificate_to_json
 from gammoids.construction import APEXES
 from gammoids.corpus import RANK3_DOC, U24_DOC, random_presentation
 from gammoids.digraph import Digraph, Presentation
@@ -87,7 +88,18 @@ class TestBundleShape:
 class TestClaims:
     def test_all_claims_true(self, u24_run):
         _, cert, _ = u24_run
-        assert all(cert.claims.values())
+        assert all(certificate_to_doc(cert)["claims"].values())
+
+    def test_recipe_mismatch_is_a_failed_claim(self, monkeypatch):
+        # U_{2,3} needs one padding element; a recipe that keeps it fails
+        real = construction.normalize
+        monkeypatch.setattr(
+            construction, "normalize", lambda p: dataclasses.replace(real(p), delete_back=())
+        )
+        p = Presentation(Digraph("abc", [("c", "a"), ("c", "b")]), "abc", "ab")
+        with pytest.raises(ClaimFailed) as info:
+            construct(p)
+        assert info.value.claim == "input_minor_present"
 
     def test_core_contraction_recovers_base(self, u24_run):
         bundle, _, _ = u24_run
@@ -187,11 +199,6 @@ class TestDeterminismAndOptions:
         parallel = certify(bundle, jobs=2)
         assert certificate_to_json(parallel) == certificate_to_json(cert)
 
-    def test_branch_two_certificate_is_complete(self, u24_run):
-        bundle, _, _ = u24_run
-        cert = certify(bundle, branch="2")
-        assert cert.complete
-
     def test_too_large(self):
         with pytest.raises(TooLarge):
             construct(parse_presentation(U24_DOC), max_elements=10)
@@ -233,7 +240,7 @@ class TestBoundaryVerification:
 
         monkeypatch.setattr(digraph, "linkage_matroid", counting)
         bundle = construct(parse_presentation(doc))
-        assert calls[0] == 9
+        assert calls[0] == 8
         calls[0] = 0
         certify(bundle)
         assert calls[0] == certify_calls
@@ -287,7 +294,7 @@ class TestSmallEndToEnd:
         bundle = construct(p)
         cert = certify(bundle)
         assert bundle.r == 1 and bundle.result.size == 8
-        assert cert.complete
+        assert complete(certificate_to_doc(cert))
 
     def test_input_needing_padding(self):
         # U_{2,3} forces one padding element in the embedding
@@ -296,7 +303,7 @@ class TestSmallEndToEnd:
         cert = certify(bundle)
         assert bundle.normalized.delete_back == ("u#1",)
         assert "u#1" in bundle.recipe_delete
-        assert cert.complete
+        assert complete(certificate_to_doc(cert))
         recovered = bundle.result.delete(bundle.recipe_delete).contract(
             bundle.recipe_contract
         )
@@ -307,7 +314,7 @@ class TestSmallEndToEnd:
         bundle = construct(p)
         cert = certify(bundle)
         assert bundle.recipe_contract == APEXES + ("t#1", "t#2")
-        assert cert.complete
+        assert complete(certificate_to_doc(cert))
         recovered = bundle.result.delete(bundle.recipe_delete).contract(
             bundle.recipe_contract
         )
