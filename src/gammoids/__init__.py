@@ -51,7 +51,6 @@ from .errors import (
     ReverifyFailed,
     TooLarge,
     UnknownDemo,
-    VerificationFailed,
 )
 from .matroid import MAX_GROUND, IngletonCheck, Matroid
 from .surgery import (
@@ -97,7 +96,6 @@ __all__ = [
     "TooLarge",
     "TwoBasesEmbedding",
     "UnknownDemo",
-    "VerificationFailed",
     "add_coloop",
     "brute_force_linking_oracle",
     "certificate_from_doc",

@@ -11,10 +11,13 @@ nothing is taken on faith from the construction itself.
 
 This module is where identities are checked. The surgeries only check
 their inputs and build presentations. ``construct`` checks what they
-built through its claims and its recipe check, and ``certify`` compares
-each recorded presentation with the table-level minor it stands for.
-Each check raises :class:`ClaimFailed` when it fails, so a
-:class:`Certificate` exists only when every check has held.
+built through its claims and its recipe check, on tables whose axioms
+are checked as they are materialized. ``certify`` compares the linked
+sets of each recorded presentation with the independent sets of the
+table-level minor it stands for; that minor is already a matroid, so
+the record gets no table or axiom check of its own. Each check raises
+:class:`ClaimFailed` when it fails, so a :class:`Certificate` exists only
+when every check has held.
 """
 
 from __future__ import annotations
@@ -393,7 +396,7 @@ def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
             del_pres = ctx.block_deleted[x]
         else:
             del_pres = _block_deletion(ctx.gadgets[1], x)
-            if not del_pres.matroid.equals(m.delete([x])):
+            if not del_pres.presents(m.delete([x])):
                 raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
 
         pool = ctx.block_d if x in ctx.block_c else ctx.block_c
@@ -413,7 +416,7 @@ def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
         if not ctx.bypass_matroids[i].delete([x]).equals(m.delete([x])):
             raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
         con_pres = contract_any(ctx.gadgets[i], x)
-    if not con_pres.matroid.equals(m.contract([x])):
+    if not con_pres.presents(m.contract([x])):
         raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
     return MinorRecord(x=x, deletion=del_pres, contraction=con_pres)
 
@@ -421,10 +424,11 @@ def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
 def certify(bundle: Bundle, *, jobs: int = 1) -> Certificate:
     """Produce the per-element minor certificates and assemble the document.
 
-    Every recorded presentation is materialized once and compared with the
-    table-level deletion or contraction of the result; a mismatch raises
-    :class:`ClaimFailed`. Branch 1's gadget presentation backs the records
-    for the block elements; the structural claims cover both branches.
+    The linked sets of every recorded presentation are enumerated once and
+    compared with the independent sets of the table-level deletion or
+    contraction of the result; a mismatch raises :class:`ClaimFailed`.
+    Branch 1's gadget presentation backs the records for the block
+    elements; the structural claims cover both branches.
     Output is independent of ``jobs``; the pool has at most one worker
     per CPU and per result element.
     """
@@ -434,6 +438,7 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> Certificate:
     block_deleted: dict[str, Presentation] = {}
     for y in (bundle.block_c[0], bundle.block_d[0]):
         pres = _block_deletion(bundle.branches[1].gadget, y)
+        # contract_any reads this table, so it is materialized, not only enumerated
         if not pres.matroid.equals(m.delete([y])):
             raise ClaimFailed(
                 "block_minors_gammoid", f"deletion presentation at {y!r} did not verify"

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import GraphTooLarge, GroundSetTooLarge, NotStrict
-from .matroid import MAX_GROUND, Matroid
+from .matroid import MAX_GROUND, Matroid, _popcounts
 
 MAX_BRUTE_VERTICES = 10
 
@@ -110,14 +110,14 @@ class Digraph:
     def __init__(self, vertices: Iterable[str], arcs: Iterable[Sequence[str]] = ()):
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertex labels")
+            raise ValueError("duplicate vertices")
         index = {v: i for i, v in enumerate(vertices)}
         seen = set()
         for u, v in arcs:
-            if u not in index or v not in index:
-                raise ValueError(f"arc ({u!r}, {v!r}) uses an undeclared vertex")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
+            if u not in index or v not in index:
+                raise ValueError(f"arc ({u!r}, {v!r}) uses an undeclared vertex")
             seen.add((u, v))
         canon = tuple(sorted(seen, key=lambda a: (index[a[0]], index[a[1]])))
         object.__setattr__(self, "vertices", vertices)
@@ -210,6 +210,19 @@ class Presentation:
     @cached_property
     def matroid(self) -> Matroid:
         return linkage_matroid(self)
+
+    def presents(self, m: Matroid) -> bool:
+        """Whether the linked sets are exactly the independent sets of ``m``.
+
+        Compares the enumeration with ``m``'s table read in this ground
+        order. No rank table is built and no axiom is checked: a family
+        equal to the independent sets of the matroid ``m`` satisfies them.
+        """
+        if set(self.ground) != set(m.ground):
+            return False
+        indep = _linkage_independence(self.graph, self.ground, self.targets)
+        pc = _popcounts(len(self.ground))
+        return bool(np.array_equal(indep, m.table_in(self.ground) == pc))
 
     def __getstate__(self) -> dict:
         # the cached table has 2^|ground| entries; rebuild it on demand

@@ -60,10 +60,6 @@ class RetargetFailed(GammoidError):
     """
 
 
-class VerificationFailed(GammoidError):
-    """An identity check of the two-bases embedding failed (engine bug)."""
-
-
 class ClaimFailed(GammoidError):
     """A pipeline claim did not verify on the constructed data."""
 

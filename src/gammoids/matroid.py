@@ -314,17 +314,23 @@ class Matroid:
 
     # -- comparisons -------------------------------------------------------
 
+    def table_in(self, order: Iterable[str]) -> np.ndarray:
+        """The rank table over masks of ``order``, a reordering of the ground set."""
+        order = tuple(order)
+        if order == self.ground:
+            return self.table
+        n = self.size
+        if len(order) != n or set(order) != set(self.ground):
+            raise ValueError("order is not a reordering of the ground set")
+        # the result's axis n-1-b is order[b]; find that label's axis here
+        axes = [n - 1 - self._index[g] for g in reversed(order)]
+        return self.table.reshape((2,) * n).transpose(axes).ravel()
+
     def equals(self, other: "Matroid") -> bool:
         """Label-sensitive equality: same label set, same rank on every subset."""
         if set(self.ground) != set(other.ground):
             return False
-        if self.ground == other.ground:
-            return bool(np.array_equal(self.table, other.table))
-        n = self.size
-        # this cube's axis n-1-b is ground[b]; find that label's axis in other's
-        axes = [n - 1 - other._index[g] for g in reversed(self.ground)]
-        relabeled = other.table.reshape((2,) * n).transpose(axes).ravel()
-        return bool(np.array_equal(self.table, relabeled))
+        return bool(np.array_equal(self.table, other.table_in(self.ground)))
 
     def ingleton_check(
         self,

@@ -7,9 +7,8 @@ is checked where a presentation enters the certificate, in
 :mod:`gammoids.construction`, by ``construct``'s claims and recipe check
 and by ``certify``'s comparison of each record with the table-level
 minor. So no operation materializes its result; ``retarget``,
-``contract_any`` and ``free_extension`` with targets outside the ground
-set read the input's matroid. ``two_bases_embedding`` is the exception:
-it checks the partition and the recovery it returns.
+``contract_any``, ``free_extension`` with targets outside the ground
+set and ``two_bases_embedding`` read the input's matroid.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .errors import (
     NotInSAndT,
     PreconditionViolated,
     RetargetFailed,
-    VerificationFailed,
 )
 from .matroid import MAX_GROUND
 
@@ -192,8 +190,8 @@ def two_bases_embedding(p: Presentation) -> TwoBasesEmbedding:
     non-target element outside a greedy maximum independent set, a private
     target ``t#k`` is attached; ``u#k`` vertices with arcs onto every
     target pad the second basis to full rank. The input is recovered by
-    deleting the ``u#k`` and contracting the ``t#k``, which is verified,
-    along with the two-bases partition itself.
+    deleting the ``u#k`` and contracting the ``t#k``. ``construct``
+    checks that recovery; ``retarget`` checks each basis it is given.
     """
     m = p.matroid
     tset = set(p.targets)
@@ -218,22 +216,10 @@ def two_bases_embedding(p: Presentation) -> TwoBasesEmbedding:
     result = Presentation(
         graph, p.ground + t_labels + u_labels, p.targets + t_labels
     )
-    embedded = result.matroid
-
     basis_one = tuple(g for g in result.ground if g in tset or g in set(attached))
     basis_two = tuple(
         g for g in result.ground if g in iset or g in set(t_labels) or g in set(u_labels)
     )
     # the counting identity behind the second basis
     assert len(independent) + len(attached) + pad == len(basis_two) == len(basis_one)
-    if set(basis_one) | set(basis_two) != set(result.ground) or set(basis_one) & set(
-        basis_two
-    ):
-        raise VerificationFailed("two-bases partition does not cover the ground set")
-    if not embedded.is_basis(basis_one) or not embedded.is_basis(basis_two):
-        raise VerificationFailed("two-bases partition contains a non-basis")
-
-    if not embedded.delete(u_labels).contract(t_labels).equals(m):
-        raise VerificationFailed("recovery from the embedding did not verify")
-
     return TwoBasesEmbedding(result, basis_one, basis_two, u_labels, t_labels)

@@ -26,7 +26,6 @@ from gammoids.errors import (
     ParseError,
     RetargetFailed,
     ReverifyFailed,
-    VerificationFailed,
 )
 
 
@@ -56,31 +55,38 @@ def u24_with_vertex(label):
     return doc
 
 
+KEYS = "presentation keys must be exactly ['vertices', 'arcs', 'ground', 'targets'], got "
+
+# each malformed presentation document and its exact parse error
+INVALID_DOCUMENTS = {
+    lambda d: d.pop("targets"): KEYS + "['arcs', 'ground', 'vertices']",
+    lambda d: d.update(extra=[]): KEYS + "['arcs', 'extra', 'ground', 'targets', 'vertices']",
+    lambda d: d["vertices"].append("a"): "duplicate vertices",
+    lambda d: d["arcs"].append(["a", "a"]): "self-loop at 'a'",
+    lambda d: d["arcs"].append(["a", "zz"]): "arc ('a', 'zz') uses an undeclared vertex",
+    lambda d: d["arcs"].append("ab"): "arc 'ab' must be a pair of vertex labels",
+    lambda d: d["arcs"].append(["c", "a"]): "duplicate arcs",
+    lambda d: d["ground"].append("zz"): "ground label 'zz' is not a vertex",
+    lambda d: d["ground"].clear(): "ground set must be nonempty",
+    lambda d: d["targets"].append(7): "targets must be a list of strings",
+    lambda d: d["ground"].append("a"): "duplicate labels in ground",
+    lambda d: d["targets"].append("a"): "duplicate labels in targets",
+    lambda d: d["targets"].append("zz"): "targets label 'zz' is not a vertex",
+}
+
+
 class TestParsePresentation:
     def test_round_trip(self):
         p = parse_presentation(U24_DOC)
         assert parse_presentation(p.to_doc()).to_doc() == p.to_doc()
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d.pop("targets"),
-            lambda d: d.update(extra=[]),
-            lambda d: d["vertices"].append("a"),
-            lambda d: d["arcs"].append(["a", "a"]),
-            lambda d: d["arcs"].append(["a", "zz"]),
-            lambda d: d["arcs"].append("ab"),
-            lambda d: d["arcs"].append(["c", "a"]),
-            lambda d: d["ground"].append("zz"),
-            lambda d: d["ground"].clear(),
-            lambda d: d["targets"].append(7),
-        ],
-    )
+    @pytest.mark.parametrize("mutate", list(INVALID_DOCUMENTS))
     def test_invalid_documents(self, mutate):
         doc = copy.deepcopy(U24_DOC)
         mutate(doc)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_presentation(doc)
+        assert str(info.value) == INVALID_DOCUMENTS[mutate]
 
 
 class TestBuildCommand:
@@ -360,7 +366,7 @@ class TestDemoCommand:
 @pytest.mark.parametrize("command", [["build"], ["demo", "u24"]])
 @pytest.mark.parametrize("surgery", ["retarget", "contract_any"])  # construct, certify
 @pytest.mark.parametrize(
-    "error", [RetargetFailed, VerificationFailed, AxiomViolation, NotACircuitHyperplane]
+    "error", [RetargetFailed, AxiomViolation, NotACircuitHyperplane]
 )
 def test_internal_check_failure_is_a_failed_claim(runner, monkeypatch, command, surgery, error):
     def failing(*args, **kwargs):
@@ -408,6 +414,13 @@ class TestCertificateObject:
         with pytest.raises(ReverifyFailed) as verified:
             verify_certificate(doc)
         assert decoded.value.location == verified.value.location == where
+
+    def test_unverified_doc_is_refused(self, u24_cert_doc):
+        doc = copy.deepcopy(u24_cert_doc)
+        doc["minors"][0]["deletion"]["presentation"]["arcs"].pop(0)
+        with pytest.raises(ReverifyFailed) as info:
+            certificate_from_doc(doc)
+        assert info.value.location == "minors[0].deletion"
 
     def test_rank3_doc_parses(self):
         assert parse_presentation(RANK3_DOC).matroid.rank == 3

@@ -1,16 +1,18 @@
 import dataclasses
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from conftest import complete, uniform
 from gammoids import certify, construct, construction, digraph, normalize, parse_presentation
-from gammoids.certificate import certificate_to_doc, certificate_to_json
+from gammoids.certificate import certificate_to_doc, certificate_to_json, verify_certificate
 from gammoids.construction import APEXES
 from gammoids.corpus import RANK3_DOC, U24_DOC, random_presentation
 from gammoids.digraph import Digraph, Presentation
 from gammoids.errors import ClaimFailed, TooLarge
+from gammoids.matroid import Matroid
 
 
 def family_subsets(m, families, size):
@@ -226,24 +228,59 @@ class TestDeterminismAndOptions:
             assert f"(rank {r} input)" in str(info.value)
 
 
+def count_calls(monkeypatch, *spots) -> Counter:
+    """Count the calls of each ``(owner, name)`` attribute from now on, by name."""
+    calls: Counter = Counter()
+    for owner, name in spots:
+        real = getattr(owner, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestBoundaryVerification:
-    """certify materializes each recorded presentation once and checks it there."""
+    """Each table's axioms are checked once, where the table enters.
+
+    construct materializes what it builds (8 tables). certify and verify
+    enumerate the linked sets of each record once and compare them with
+    the independent sets of the minor of the excluded minor it stands for,
+    which is already a matroid, so no record gets a table or an axiom
+    check. certify still materializes the two block deletions that
+    contract_any reads; verify materializes only the recipe's input, and
+    checks the axioms of it and of the excluded minor.
+    """
 
     @pytest.mark.parametrize("doc, certify_calls", [(U24_DOC, 16), (RANK3_DOC, 20)])
     def test_materialization_counts(self, monkeypatch, doc, certify_calls):
-        calls = [0]
-        real = digraph.linkage_matroid
-
-        def counting(p):
-            calls[0] += 1
-            return real(p)
-
-        monkeypatch.setattr(digraph, "linkage_matroid", counting)
+        calls = count_calls(
+            monkeypatch,
+            (digraph, "linkage_matroid"),
+            (digraph, "_linkage_independence"),
+            (Matroid, "verify_axioms"),
+        )
         bundle = construct(parse_presentation(doc))
-        assert calls[0] == 8
-        calls[0] = 0
+        assert calls["linkage_matroid"] == 8
+        calls.clear()
         certify(bundle)
-        assert calls[0] == certify_calls
+        assert calls == {
+            "_linkage_independence": certify_calls, "linkage_matroid": 2, "verify_axioms": 2
+        }
+
+    def test_verify_counts(self, monkeypatch, r3_run):
+        _, cert, _ = r3_run
+        doc = certificate_to_doc(cert)
+        calls = count_calls(
+            monkeypatch,
+            (digraph, "linkage_matroid"),
+            (digraph, "_linkage_independence"),
+            (Matroid, "verify_axioms"),
+        )
+        verify_certificate(doc)
+        assert calls == {"_linkage_independence": 29, "linkage_matroid": 1, "verify_axioms": 2}
 
     def test_faulty_side_contraction_is_caught(self, monkeypatch, u24_run):
         bundle, _, _ = u24_run

@@ -283,8 +283,44 @@ class TestReverseSearch:
         assert all(seen.values()), seen
 
 
+class TestPresents:
+    """presents agrees with building the table and comparing it whole."""
+
+    def test_agrees_with_equals(self):
+        rng = random.Random(0x9E5E)
+        seen = set()
+        for _ in range(300):
+            p = random_presentation(rng, max_vertices=8)
+            order = list(p.ground)
+            rng.shuffle(order)
+            verts = p.graph.vertices
+            arcs = [(u, v) for u in verts for v in verts if u != v and rng.random() < 0.3]
+            other = Presentation(
+                Digraph(verts, arcs), order, random_vertex_subset(rng, p.graph, 0.4)
+            )
+            candidates = {
+                "itself": p.matroid,
+                "reordered": Matroid(order, p.matroid.table_in(order)),
+                "other": other.matroid,
+                "relabeled": Matroid([g + "'" for g in p.ground], p.matroid.table),
+            }
+            for case, m in candidates.items():
+                verdict = p.presents(m)
+                assert verdict == p.matroid.equals(m), (case, p, other)
+                seen.add((case, verdict))
+        assert seen == {
+            ("itself", True), ("reordered", True), ("other", True), ("other", False),
+            ("relabeled", False),
+        }
+
+
 @pytest.mark.usefixtures("python_engine")
 class TestLinkageMatroidPythonEngine(TestLinkageMatroid):
+    pass
+
+
+@pytest.mark.usefixtures("python_engine")
+class TestPresentsPythonEngine(TestPresents):
     pass
 
 
