@@ -8,11 +8,17 @@ minor's axioms once, enumerates every recorded presentation's linked
 sets from scratch through the linkage engine, compares them with the
 independent sets of the minor the record stands for, and re-runs the
 Ingleton and recipe checks without re-running the construction.
+
+Certificates are written by a small writer of their own that gives the
+bytes of ``json.dumps(doc, indent=2)``: the standard library uses its C
+encoder only without ``indent``, and the basis family is most of a
+certificate.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .construction import CLAIM_NAMES, Certificate, MinorRecord
@@ -110,8 +116,66 @@ def certificate_to_doc(cert: Certificate) -> dict:
     }
 
 
+def _write(doc: Any, pad: str, out: list[str]) -> None:
+    """Append ``doc`` as ``json.dumps(doc, indent=2)`` writes it, nested at ``pad``.
+
+    Only the types a certificate holds are written: dict with string keys,
+    list, str, int and bool. Anything else raises ``TypeError``.
+    """
+    if isinstance(doc, str):
+        out.append(encode_basestring_ascii(doc))
+    elif isinstance(doc, bool):
+        out.append("true" if doc else "false")
+    elif isinstance(doc, int):
+        out.append(int.__repr__(doc))
+    elif isinstance(doc, list):
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if not doc:
+            out.append("[]")
+        elif all(map(isinstance, doc, repeat(str))):
+            out.append(f"[\n{inner}{sep.join(map(encode_basestring_ascii, doc))}\n{pad}]")
+        elif all(map(isinstance, doc, repeat(list))) and all(doc) and all(
+            map(isinstance, chain.from_iterable(doc), repeat(str))
+        ):
+            # nonempty lists of strings, such as the bases and the arcs: one join
+            deeper = inner + "  "
+            opening, closing = "[\n" + deeper, "\n" + inner + "]"
+            rows = map((",\n" + deeper).join, map(map, repeat(encode_basestring_ascii), doc))
+            out.append("[\n" + inner + opening)
+            out.append((closing + sep + opening).join(rows))
+            out.append(closing + "\n" + pad + "]")
+        else:
+            out.append("[\n" + inner)
+            for k, item in enumerate(doc):
+                if k:
+                    out.append(sep)
+                _write(item, inner, out)
+            out.append("\n" + pad + "]")
+    elif isinstance(doc, dict):
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if not doc:
+            out.append("{}")
+            return
+        out.append("{\n" + inner)
+        for k, (key, value) in enumerate(doc.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if k:
+                out.append(sep)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_doc(cert), indent=2) + "\n"
+    out: list[str] = []
+    _write(certificate_to_doc(cert), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def certificate_from_doc(doc: Any) -> Certificate:
@@ -177,10 +241,13 @@ def _check_certificate_schema(doc: Any) -> None:
             f"recipe.excluded_minor.ground: {len(ground)} ground elements exceeds cap "
             f"{MAX_GROUND}"
         )
-    if not isinstance(em["bases"], list) or not em["bases"]:
+    bases = em["bases"]
+    if not isinstance(bases, list) or not bases:
         raise ParseError("excluded minor must list at least one basis")
-    for basis in em["bases"]:
-        _string_list(basis, "recipe.excluded_minor.bases[]")
+    if not all(map(isinstance, bases, repeat(list))) or not all(
+        map(isinstance, chain.from_iterable(bases), repeat(str))
+    ):
+        raise ParseError("recipe.excluded_minor.bases[] must be a list of strings")
     _string_list(recipe["delete"], "recipe.delete")
     _string_list(recipe["contract"], "recipe.contract")
     inp = recipe["input"]

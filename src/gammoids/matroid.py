@@ -14,6 +14,7 @@ listed in ascending mask order so that repeated runs are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterable
 
 import numpy as np
@@ -21,6 +22,9 @@ import numpy as np
 from .errors import AxiomViolation, GroundSetTooLarge, NotACircuitHyperplane
 
 MAX_GROUND = 24
+
+_OPEN = object()  # marks where each basis starts when a basis family is read flat
+_CHUNK = 1 << 16  # masks listed per step, to bound the listing's temporaries
 
 # popcount tables per ground size, built once
 _PC: dict[int, np.ndarray] = {}
@@ -152,19 +156,22 @@ class Matroid:
         n = len(ground)
         if n > MAX_GROUND:
             raise GroundSetTooLarge(f"{n} elements exceeds cap {MAX_GROUND}")
+        # each label is read as its bit index, and a marker opening each basis as n
         index = {label: i for i, label in enumerate(ground)}
         if len(index) != n:
             raise ValueError("duplicate ground labels")
-        masks = []
-        for basis in bases:
-            mask = 0
-            for label in basis:
-                if label not in index:
-                    raise ValueError(f"basis label {label!r} not in ground set")
-                mask |= 1 << index[label]
-            masks.append(mask)
-        if not masks:
+        index[_OPEN] = n
+        flat = chain.from_iterable(chain.from_iterable(zip(repeat((_OPEN,)), bases)))
+        try:
+            indices = np.frombuffer(bytes(map(index.__getitem__, flat)), np.uint8)
+        except KeyError as exc:
+            raise ValueError(f"basis label {exc.args[0]!r} not in ground set") from None
+        starts = np.flatnonzero(indices == n)
+        if not len(starts):
             raise ValueError("at least one basis is required")
+        # a run is one basis: its marker, which adds no element, then its labels
+        weights = np.array([1 << i for i in range(n)] + [0], dtype=np.uint32)
+        masks = np.bitwise_or.reduceat(weights[indices], starts)
         # the independent sets are the subsets of bases: one pass per bit
         indep = np.zeros(1 << n, dtype=bool)
         indep[masks] = True
@@ -209,13 +216,32 @@ class Matroid:
     def is_loop(self, label: str) -> bool:
         return self.rank_of([label]) == 0
 
-    def basis_masks(self) -> list[int]:
+    def _basis_mask_array(self) -> np.ndarray:
         pc = _popcounts(self.size)
-        hits = np.nonzero((pc == self.rank) & (self.table == self.rank))[0]
-        return [int(h) for h in hits]
+        return np.flatnonzero((pc == self.rank) & (self.table == self.rank))
+
+    def basis_masks(self) -> list[int]:
+        return self._basis_mask_array().tolist()
+
+    def _basis_lists(self) -> list[list[str]]:
+        """The label list of every basis, in ascending mask order."""
+        k = self.rank
+        if k == 0:
+            return [[]]  # the empty set is the only basis
+        masks = self._basis_mask_array()
+        labels = np.array(self.ground, dtype=object)
+        lists: list[list[str]] = []
+        for start in range(0, len(masks), _CHUNK):
+            chunk = masks[start : start + _CHUNK].astype("<u4")
+            # column i of the little-endian bits is ground[i]; every basis has k of them
+            members = np.unpackbits(
+                chunk.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little"
+            )
+            lists += labels[np.nonzero(members)[1].reshape(-1, k)].tolist()
+        return lists
 
     def bases(self) -> list[tuple[str, ...]]:
-        return [self.labels_of(m) for m in self.basis_masks()]
+        return list(map(tuple, self._basis_lists()))
 
     # -- circuits ---------------------------------------------------------
 
@@ -429,7 +455,7 @@ class Matroid:
         """Ground labels in order plus the basis family as sorted label lists."""
         return {
             "ground": list(self.ground),
-            "bases": [list(self.labels_of(m)) for m in self.basis_masks()],
+            "bases": self._basis_lists(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

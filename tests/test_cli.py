@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gammoids
 from conftest import complete
@@ -346,6 +348,20 @@ class TestVerifyCommand:
         assert result.exit_code == 2
 
 
+class TestBasisSchema:
+    @pytest.mark.parametrize(
+        "basis", ["ab", {"a": "b"}, None, ["a", 3], ["a", ["b"]], [None]]
+    )
+    def test_basis_must_be_a_list_of_strings(self, runner, u24_cert_doc, basis):
+        doc = copy.deepcopy(u24_cert_doc)
+        doc["recipe"]["excluded_minor"]["bases"][2] = basis
+        result = runner.invoke(main, ["verify"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert result.output == (
+            "parse error: recipe.excluded_minor.bases[] must be a list of strings\n"
+        )
+
+
 class TestDemoCommand:
     def test_u24_demo(self, runner):
         result = runner.invoke(main, ["demo", "u24"])
@@ -424,3 +440,50 @@ class TestCertificateObject:
 
     def test_rank3_doc_parses(self):
         assert parse_presentation(RANK3_DOC).matroid.rank == 3
+
+
+# labels with characters JSON escapes, and the separators the writer uses
+json_strings = st.text() | st.sampled_from(['"', "\\", "\n", "\x00", '", "', ",\n  ", "é€😀"])
+json_docs = st.recursive(
+    json_strings | st.integers() | st.booleans(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(json_strings, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+def write(doc) -> str:
+    """``doc`` through the certificate writer."""
+    out: list[str] = []
+    certificate._write(doc, "", out)
+    return "".join(out)
+
+
+class TestCertificateJson:
+    """The certificate writer gives the bytes of ``json.dumps(doc, indent=2)``."""
+
+    def test_demo_certificates(self, u24_run, r3_run):
+        for _, cert, _ in (u24_run, r3_run):
+            expected = json.dumps(certificate_to_doc(cert), indent=2) + "\n"
+            assert certificate.certificate_to_json(cert) == expected
+
+    def test_rank4_certificate(self):
+        cert = construction.certify(construction.construct(parse_presentation(RANK4_DOC)))
+        text = certificate.certificate_to_json(cert)
+        assert text == json.dumps(certificate_to_doc(cert), indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(json_docs)
+    @example({})
+    @example([])
+    @example({"a": [[], {}, [[]], [{}]], "b": [["x", "y"], [], ["z"]]})
+    @example({"bases": [["x", "y"], ["z"]], "arcs": [["a", "b"]], "c": [[["x"]], ["y"]]})
+    @example(['", "', "\\", "\x00\x1f\x7f", "é€😀\ud800", [True, False, 0, -1, 10**30]])
+    def test_matches_stdlib(self, doc):
+        assert write(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc", [1.5, None, {"a": [None]}, [["x"], ("y",)], {1: "a"}, {"a": {"b": [0.0]}}]
+    )
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            write(doc)

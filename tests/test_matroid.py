@@ -399,3 +399,41 @@ class TestCubeOperations:
         table[entry % len(table)] += 1
         changed = Matroid(order, table)
         assert not m.equals(changed) and not changed.equals(m)
+
+
+class TestBasisListing:
+    """The bulk basis listing against one ``labels_of`` call per basis mask."""
+
+    @cube_settings
+    @given(gf2_columns)
+    @example([])  # rank 0 on nothing
+    @example([0, 0, 0])  # rank 0: three loops
+    @example([1, 2, 4, 8])  # the free matroid
+    @example([1, 2, 4, 8, 1, 2, 4, 8, 15])
+    def test_listing_matches_labels_of(self, cols):
+        m = gf2_matroid(cols)
+        expected = [m.labels_of(x) for x in m.basis_masks()]
+        assert m.bases() == expected
+        assert m.to_doc() == {"ground": list(m.ground), "bases": [list(b) for b in expected]}
+        if m.rank == 0:
+            assert m.to_doc()["bases"] == [[]]
+        again = Matroid.from_bases(m.ground, m.to_doc()["bases"])
+        assert again.ground == m.ground and again.table.tolist() == m.table.tolist()
+
+    def test_repeated_label_counts_once(self):
+        bases = [["a", "b"], ["a", "c"], ["b", "c"]]
+        repeated = [["a", "b", "a"], ["a", "c", "c"], ["b", "c"]]
+        assert Matroid.from_bases("abc", repeated).equals(Matroid.from_bases("abc", bases))
+
+    def test_first_unknown_label_is_named(self):
+        with pytest.raises(ValueError, match="^basis label 'y' not in ground set$"):
+            Matroid.from_bases("ab", [["a"], ["a", "y"], ["z"]])
+        with pytest.raises(ValueError, match="^basis label 'x' not in ground set$"):
+            Matroid.from_bases("ab", [[], ["x", "w"]])
+
+    def test_bases_as_strings_and_generators(self):
+        m = uniform("abcd", 2)
+        bases = m.to_doc()["bases"]
+        assert Matroid.from_bases("abcd", ["".join(b) for b in bases]).equals(m)
+        assert Matroid.from_bases("abcd", (iter(b) for b in bases)).equals(m)
+        assert Matroid.from_bases("abcd", map(tuple, bases)).equals(m)
