@@ -52,6 +52,14 @@ def _string_list(doc: Any, where: str) -> list[str]:
     return doc
 
 
+def _check_graph_size(n_vertices: int, n_arcs: int) -> None:
+    """Raise :class:`GraphTooLarge` past :data:`MAX_VERTICES` or :data:`MAX_ARCS`."""
+    if n_vertices > MAX_VERTICES:
+        raise GraphTooLarge(f"{n_vertices} vertices exceeds cap {MAX_VERTICES}")
+    if n_arcs > MAX_ARCS:
+        raise GraphTooLarge(f"{n_arcs} arcs exceeds cap {MAX_ARCS}")
+
+
 def parse_presentation(doc: Any) -> Presentation:
     """Decode and validate one presentation document.
 
@@ -71,10 +79,7 @@ def parse_presentation(doc: Any) -> Presentation:
     targets = _string_list(doc["targets"], "targets")
     if not isinstance(doc["arcs"], list):
         raise ParseError("arcs must be a list")
-    if len(vertices) > MAX_VERTICES:
-        raise GraphTooLarge(f"{len(vertices)} vertices exceeds cap {MAX_VERTICES}")
-    if len(doc["arcs"]) > MAX_ARCS:
-        raise GraphTooLarge(f"{len(doc['arcs'])} arcs exceeds cap {MAX_ARCS}")
+    _check_graph_size(len(vertices), len(doc["arcs"]))
     arcs = []
     for entry in doc["arcs"]:
         if (
@@ -98,7 +103,20 @@ def parse_presentation(doc: Any) -> Presentation:
     return presentation
 
 
+def _record_doc(p: Presentation, where: str) -> dict:
+    try:
+        _check_graph_size(len(p.graph.vertices), len(p.graph.arcs))
+    except GraphTooLarge as exc:
+        raise GraphTooLarge(f"{where}: {exc}") from None
+    return {"presentation": p.to_doc(), "verified": True}
+
+
 def certificate_to_doc(cert: Certificate) -> dict:
+    """The document of a certificate, as ``verify_certificate`` reads it.
+
+    Raises :class:`GraphTooLarge`, naming the record, when a record's
+    graph exceeds the caps that ``verify_certificate`` enforces.
+    """
     # a Certificate is complete: every claim and record reads true
     return {
         "claims": dict.fromkeys(CLAIM_NAMES, True),
@@ -106,10 +124,10 @@ def certificate_to_doc(cert: Certificate) -> dict:
         "minors": [
             {
                 "x": rec.x,
-                "deletion": {"presentation": rec.deletion.to_doc(), "verified": True},
-                "contraction": {"presentation": rec.contraction.to_doc(), "verified": True},
+                "deletion": _record_doc(rec.deletion, f"minors[{k}].deletion"),
+                "contraction": _record_doc(rec.contraction, f"minors[{k}].contraction"),
             }
-            for rec in cert.minors
+            for k, rec in enumerate(cert.minors)
         ],
         "recipe": dict(cert.recipe),
         "notes": list(cert.notes),

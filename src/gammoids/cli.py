@@ -56,6 +56,12 @@ def _load_json(path: str) -> object:
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _say(msg: str) -> None:
@@ -105,18 +111,20 @@ def build(input_path: str, output_path: str, jobs: int, max_elements: int) -> No
     try:
         bundle = construct(presentation, max_elements=max_elements)
         cert = certify(bundle, jobs=jobs)
+        # a record past the graph caps that verify enforces is refused here
+        text = certificate_to_json(cert)
     except LabelCollision as exc:
         # an input vertex is named like a label the construction generates
         _say(f"parse error: {exc}")
         sys.exit(EXIT_PARSE)
-    except (TooLarge, GroundSetTooLarge) as exc:
+    except (TooLarge, GraphTooLarge, GroundSetTooLarge) as exc:
         _say(f"too large: {exc}")
         sys.exit(EXIT_TOO_LARGE)
     except GammoidError as exc:
         # a failed claim, or an internal check that failed on the way to one
         _say(f"claim failed: {exc}")
         sys.exit(EXIT_CLAIM_FAILED)
-    _write_text(output_path, certificate_to_json(cert))
+    _write_text(output_path, text)
     _say(_report(bundle, cert))
     sys.exit(EXIT_OK)
 

@@ -23,8 +23,9 @@ when every check has held.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .digraph import Digraph, Presentation
@@ -363,19 +364,6 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     )
 
 
-@dataclass(frozen=True)
-class _CertifyContext:
-    result: Matroid
-    s1: frozenset[str]
-    block: frozenset[str]
-    block_c: tuple[str, ...]
-    block_d: tuple[str, ...]
-    gadgets: dict[int, Presentation]
-    bypass_matroids: dict[int, Matroid]
-    bypass_graphs: dict[int, Presentation]
-    block_deleted: dict[str, Presentation]
-
-
 def _block_deletion(gadget: Presentation, x: str) -> Presentation:
     """Present the deletion of a block element by removing its vertex."""
     return Presentation(
@@ -385,37 +373,39 @@ def _block_deletion(gadget: Presentation, x: str) -> Presentation:
     )
 
 
-def _certify_element(ctx: _CertifyContext, x: str) -> MinorRecord:
+def _certify_element(
+    bundle: Bundle, block_deleted: dict[str, Presentation], x: str
+) -> MinorRecord:
     # the comparison of each recorded presentation against the table-level
     # minor below is the one check of the surgeries that built it
-    m = ctx.result
-    if x in ctx.block:
+    m = bundle.result
+    if x in bundle.relaxed_set:
         claim = "block_minors_gammoid"
-        if x in ctx.block_deleted:
+        if x in block_deleted:
             # certify built this same presentation and verified it
-            del_pres = ctx.block_deleted[x]
+            del_pres = block_deleted[x]
         else:
-            del_pres = _block_deletion(ctx.gadgets[1], x)
+            del_pres = _block_deletion(bundle.branches[1].gadget, x)
             if not del_pres.presents(m.delete([x])):
                 raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
 
-        pool = ctx.block_d if x in ctx.block_c else ctx.block_c
+        pool = bundle.block_d if x in bundle.block_c else bundle.block_c
         y = pool[0]
         # contracted presents (M\y)/x = (M/x)\y. A coloop of M/x is a coloop
         # of M, and y is none: y lies in the relaxed circuit-hyperplane H, and
         # H - y plus any element outside H is a basis of M that misses y. So
         # y always comes back as a free extension.
-        con_pres = free_extension(contract_any(ctx.block_deleted[y], x), y)
+        con_pres = free_extension(contract_any(block_deleted[y], x), y)
     else:
         claim = "side_minors_gammoid"
-        i = 1 if x in ctx.s1 or x == APEXES[0] else 2
-        del_pres = delete_element(ctx.bypass_graphs[i], x)
+        branch = bundle.branches[1 if x in bundle.s1 or x == APEXES[0] else 2]
+        del_pres = delete_element(branch.bypass, x)
         # the presented matroid is the bypass matroid restricted away from x,
         # by definition of restriction; the content of the check is that this
         # restriction agrees with deleting x from the result
-        if not ctx.bypass_matroids[i].delete([x]).equals(m.delete([x])):
+        if not branch.bypass_matroid.delete([x]).equals(m.delete([x])):
             raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
-        con_pres = contract_any(ctx.gadgets[i], x)
+        con_pres = contract_any(branch.gadget, x)
     if not con_pres.presents(m.contract([x])):
         raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
     return MinorRecord(x=x, deletion=del_pres, contraction=con_pres)
@@ -429,12 +419,17 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> Certificate:
     contraction of the result; a mismatch raises :class:`ClaimFailed`.
     Branch 1's gadget presentation backs the records for the block
     elements; the structural claims cover both branches.
-    Output is independent of ``jobs``; the pool has at most one worker
-    per CPU and per result element.
+    With ``jobs`` above 1 the records are built on a pool of at most one
+    thread per CPU and per result element; the C kernel releases the GIL
+    while it enumerates. Records keep element order and the first failure
+    in that order is raised, so output and errors are independent of
+    ``jobs``. Workers read only tables materialized before the pool
+    starts: ``functools.cached_property`` holds one lock per property
+    across all instances (Python 3.11), so an enumeration inside
+    ``Presentation.matroid`` would serialize the workers.
     """
     m = bundle.result
 
-    block = frozenset(bundle.relaxed_set)
     block_deleted: dict[str, Presentation] = {}
     for y in (bundle.block_c[0], bundle.block_d[0]):
         pres = _block_deletion(bundle.branches[1].gadget, y)
@@ -445,25 +440,14 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> Certificate:
             )
         block_deleted[y] = pres
 
-    ctx = _CertifyContext(
-        result=m,
-        s1=frozenset(bundle.s1),
-        block=block,
-        block_c=bundle.block_c,
-        block_d=bundle.block_d,
-        gadgets={i: b.gadget for i, b in bundle.branches.items()},
-        bypass_matroids={i: b.bypass_matroid for i, b in bundle.branches.items()},
-        bypass_graphs={i: b.bypass for i, b in bundle.branches.items()},
-        block_deleted=block_deleted,
-    )
-
+    certify_one = partial(_certify_element, bundle, block_deleted)
     elements = list(m.ground)
     workers = min(jobs, os.cpu_count() or 1, len(elements))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_certify_element, [ctx] * len(elements), elements))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(certify_one, elements))
     else:
-        records = [_certify_element(ctx, x) for x in elements]
+        records = list(map(certify_one, elements))
 
     ingleton_doc = {
         "A": list(bundle.ingleton_witness["A"]),

@@ -224,11 +224,6 @@ class Presentation:
         pc = _popcounts(len(self.ground))
         return bool(np.array_equal(indep, m.table_in(self.ground) == pc))
 
-    def __getstate__(self) -> dict:
-        # the cached table has 2^|ground| entries; rebuild it on demand
-        # rather than pickle it (certify --jobs ships records between processes)
-        return {k: v for k, v in self.__dict__.items() if k != "matroid"}
-
     def with_ground(self, ground: Iterable[str]) -> "Presentation":
         return Presentation(self.graph, ground, self.targets)
 

@@ -83,17 +83,14 @@ class Matroid:
         cls,
         ground: Iterable[str],
         indep: np.ndarray,
-        *,
-        verify: bool = True,
     ) -> "Matroid":
         """Build a matroid from its independence indicator over all masks.
 
         ``indep[mask]`` says whether the subset ``mask`` is independent.
         The rank of a subset is the size of its largest independent
-        subset. With ``verify`` the table is checked against the rank
-        axioms and the family for downward closure, so a family that is
-        not the independent sets of a matroid raises
-        :class:`AxiomViolation`.
+        subset. The table is checked against the rank axioms and the
+        family for downward closure, so a family that is not the
+        independent sets of a matroid raises :class:`AxiomViolation`.
         """
         ground = tuple(ground)
         n = len(ground)
@@ -112,14 +109,11 @@ class Matroid:
             halves = table.reshape(-1, 2, 1 << b)
             np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
         m = cls(ground, table)
-        if verify:
-            m.verify_axioms()
-            if not np.array_equal(indep, table == pc):
-                # only possible if the family is not downward closed
-                bad = int(np.nonzero(indep != (table == pc))[0][0])
-                raise AxiomViolation(
-                    f"oracle is not downward closed at {m.labels_of(bad)}"
-                )
+        m.verify_axioms()
+        if not np.array_equal(indep, table == pc):
+            # only possible if the family is not downward closed
+            bad = int(np.nonzero(indep != (table == pc))[0][0])
+            raise AxiomViolation(f"oracle is not downward closed at {m.labels_of(bad)}")
         return m
 
     @classmethod
@@ -127,8 +121,6 @@ class Matroid:
         cls,
         ground: Iterable[str],
         oracle: Callable[[int], bool],
-        *,
-        verify: bool = True,
     ) -> "Matroid":
         """Materialize a matroid by querying ``oracle`` on every subset mask.
 
@@ -141,15 +133,13 @@ class Matroid:
             raise GroundSetTooLarge(f"{n} elements exceeds cap {MAX_GROUND}")
         size = 1 << n
         indep = np.fromiter((bool(oracle(mask)) for mask in range(size)), bool, size)
-        return cls.from_independence(ground, indep, verify=verify)
+        return cls.from_independence(ground, indep)
 
     @classmethod
     def from_bases(
         cls,
         ground: Iterable[str],
         bases: Iterable[Iterable[str]],
-        *,
-        verify: bool = True,
     ) -> "Matroid":
         """Rebuild a matroid from its basis family (certificate decoding)."""
         ground = tuple(ground)
@@ -178,7 +168,7 @@ class Matroid:
         for b in range(n):
             halves = indep.reshape(-1, 2, 1 << b)
             halves[:, 0] |= halves[:, 1]
-        return cls.from_independence(ground, indep, verify=verify)
+        return cls.from_independence(ground, indep)
 
     # -- basic queries ----------------------------------------------------
 

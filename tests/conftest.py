@@ -2,10 +2,20 @@ import time
 
 import pytest
 
-from gammoids import certify, construct, parse_presentation
+from gammoids import certify, construct, digraph, parse_presentation
 from gammoids.certificate import certificate_to_doc
 from gammoids.corpus import RANK3_DOC, U24_DOC
 from gammoids.matroid import Matroid
+
+requires_kernel = pytest.mark.skipif(
+    digraph.ENGINE != "c", reason="the C kernel is not loaded (no compiler, or its build failed)"
+)
+
+
+@pytest.fixture
+def python_engine(monkeypatch):
+    """Run the Python enumeration, the kernel's reference and fallback."""
+    monkeypatch.setattr(digraph, "_KERNEL", None)
 
 
 def uniform(ground: str, k: int) -> Matroid:

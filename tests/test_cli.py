@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gammoids
-from conftest import complete
+from conftest import complete, requires_kernel
 from gammoids import certificate, construction
 from gammoids.certificate import (
     certificate_from_doc,
@@ -187,7 +187,7 @@ class TestBuildCommand:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(construction, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(construction, "ThreadPoolExecutor", RecordingPool)
         result = runner.invoke(main, ["build", "--jobs", jobs], input=json.dumps(U24_DOC))
         assert result.exit_code == 0, result.output
         assert opened == pools  # the u24 result has 11 elements
@@ -225,6 +225,22 @@ class TestBuildCommand:
         assert result.exit_code == 0, result.output
         check = runner.invoke(main, ["verify"], input=result.stdout)
         assert check.exit_code == 0, check.output
+
+    def test_record_past_the_graph_cap_is_not_written(self, runner, tmp_path):
+        # the input fits under the vertex cap, but its records would not
+        verts = [f"v{i}" for i in range(505)]
+        inp, out = tmp_path / "in.json", tmp_path / "cert.json"
+        write_json(inp, {
+            "vertices": verts,
+            "arcs": [[u, v] for u, v in zip(verts, verts[1:])],
+            "ground": ["v0", "v1"],
+            "targets": ["v504"],
+        })
+        result = runner.invoke(main, ["build", "-i", str(inp), "-o", str(out)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "too large: minors[0].deletion: 515 vertices exceeds cap 512" in result.output
+        assert not out.exists()
 
 
 # sha256 of the `build` output for each demo input; any change to a
@@ -278,6 +294,45 @@ def test_rank4_golden_certificate_verifies(runner):
     check = runner.invoke(main, ["verify"], input=result.stdout)
     assert check.exit_code == 0, check.output
     assert "certificate OK" in check.output
+
+
+@pytest.mark.parametrize(
+    "doc, sha256, engine",
+    [
+        pytest.param(RANK4_DOC, RANK4_SHA256, "c", marks=requires_kernel, id="rank4-c"),
+        pytest.param(
+            PIPELINE_DEMOS["rank3-gammoid"], GOLDEN_SHA256["rank3-gammoid"], "python",
+            id="rank3-python",
+        ),
+    ],
+)
+def test_jobs_keep_golden_bytes(runner, monkeypatch, request, doc, sha256, engine):
+    if engine == "python":
+        request.getfixturevalue("python_engine")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool runs on any box
+    result = runner.invoke(main, ["build", "--jobs", "2"], input=json.dumps(doc))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command", ["build -i", "verify"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 200000, "parse error: invalid JSON: nested too deeply"),
+        (b"\xff\xfe", "parse error: input is not UTF-8: "),
+        (None, "parse error: cannot read "),
+    ],
+    ids=["nested", "not-utf8", "missing"],
+)
+def test_hostile_input_is_a_parse_error(runner, tmp_path, command, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    result = runner.invoke(main, [*command.split(), str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
 
 
 class TestVerifyCommand:
@@ -379,7 +434,7 @@ class TestDemoCommand:
         assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("command", [["build"], ["demo", "u24"]])
+@pytest.mark.parametrize("command", [["build"], ["demo", "u24"], ["build", "--jobs", "2"]])
 @pytest.mark.parametrize("surgery", ["retarget", "contract_any"])  # construct, certify
 @pytest.mark.parametrize(
     "error", [RetargetFailed, AxiomViolation, NotACircuitHyperplane]
@@ -388,6 +443,7 @@ def test_internal_check_failure_is_a_failed_claim(runner, monkeypatch, command, 
     def failing(*args, **kwargs):
         raise error("injected")
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # contract_any fails on a worker thread
     monkeypatch.setattr(construction, surgery, failing)
     result = runner.invoke(main, command, input=json.dumps(U24_DOC))
     assert result.exit_code == 4

@@ -1,6 +1,8 @@
 import dataclasses
+import os
 import random
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import pytest
@@ -200,6 +202,28 @@ class TestDeterminismAndOptions:
         bundle, cert, _ = u24_run
         parallel = certify(bundle, jobs=2)
         assert certificate_to_json(parallel) == certificate_to_json(cert)
+
+    def test_pool_starts_after_every_materialization(self, u24_run, monkeypatch):
+        # functools.cached_property holds one lock per property across all
+        # instances, so Presentation.matroid on a worker would serialize them
+        bundle, _, _ = u24_run
+        calls, at_start = [0], []
+        real = digraph.linkage_matroid
+
+        def counting(p):
+            calls[0] += 1
+            return real(p)
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                at_start.append(calls[0])
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(digraph, "linkage_matroid", counting)
+        monkeypatch.setattr(construction, "ThreadPoolExecutor", RecordingPool)
+        certify(bundle, jobs=2)
+        assert at_start == [2] and calls == [2]
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

@@ -1,7 +1,6 @@
 import gc
 import json
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -10,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import uniform
+from conftest import requires_kernel, uniform
 from gammoids import certify, construct, digraph, parse_presentation
 from gammoids.certificate import certificate_to_doc, verify_certificate
 from gammoids.corpus import RANK3_DOC, random_digraph, random_presentation, random_vertex_subset
@@ -26,17 +25,6 @@ from gammoids.digraph import (
 )
 from gammoids.errors import GraphTooLarge, GroundSetTooLarge, NotStrict
 from gammoids.matroid import Matroid
-
-
-requires_kernel = pytest.mark.skipif(
-    digraph.ENGINE != "c", reason="the C kernel is not loaded (no compiler, or its build failed)"
-)
-
-
-@pytest.fixture
-def python_engine(monkeypatch):
-    """Run the Python enumeration, the kernel's reference and fallback."""
-    monkeypatch.setattr(digraph, "_KERNEL", None)
 
 
 def both_engines(p: Presentation, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
@@ -182,21 +170,6 @@ class TestLinkageMatroid:
             q = Presentation(g.without_vertex(spare), ground, targets)
             assert q.matroid.equals(p.matroid)
             checked += 1
-
-
-class TestPresentationPickle:
-    def test_cached_table_is_left_out(self):
-        p = Presentation(
-            Digraph("abcdtu", [("a", "t"), ("b", "u"), ("c", "u")]), "abcd", "tu"
-        )
-        cold = pickle.dumps(p)
-        assert p.matroid.rank == 2
-        warm = pickle.dumps(p)
-        assert len(warm) == len(cold)
-        q = pickle.loads(warm)
-        assert "matroid" not in vars(q)
-        assert q == p and q.to_doc() == p.to_doc()
-        assert q.matroid.equals(p.matroid)
 
 
 class TestLinkageDifferential:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform
+from gammoids.corpus import random_presentation
 from gammoids.errors import AxiomViolation, GroundSetTooLarge, NotACircuitHyperplane
 from gammoids.matroid import Matroid
 
@@ -69,16 +70,44 @@ class TestConstruction:
             Matroid.from_bases("abcd", [["a", "b"], ["c", "d"]])
 
     def test_from_bases_table_is_best_basis_overlap(self):
-        # rank(X) = max over the given sets B of |X & B|, matroid or not
+        # rank(X) = max over the bases B of |X & B|
         rng = random.Random(0xBA5E)
         for _ in range(100):
-            n = rng.randint(0, 7)
-            ground = "abcdefg"[:n]
-            masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
-            bases = [[g for i, g in enumerate(ground) if mask >> i & 1] for mask in masks]
-            table = Matroid.from_bases(ground, bases, verify=False).table
-            expected = [max((x & b).bit_count() for b in masks) for x in range(1 << n)]
-            assert table.tolist() == expected
+            m = random_presentation(rng, max_vertices=7).matroid
+            masks = [m.mask_of(b) for b in m.bases()]
+            table = Matroid.from_bases(m.ground, m.bases()).table
+            expected = [max((x & b).bit_count() for b in masks) for x in range(1 << m.size)]
+            assert table.tolist() == expected == m.table.tolist()
+
+    def test_from_bases_rejects_non_basis_families(self):
+        # distinct sets of one size are the bases of a matroid iff they satisfy
+        # basis exchange; any other such family is refused
+        def exchange_holds(family, n):
+            return all(
+                any(a & ~(1 << i) | 1 << j in family for j in range(n) if (b & ~a) >> j & 1)
+                for a in family
+                for b in family
+                for i in range(n)
+                if (a & ~b) >> i & 1
+            )
+
+        rng = random.Random(0xBA5E)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            k = rng.randint(0, n)
+            sets = [sum(1 << i for i in c) for c in itertools.combinations(range(n), k)]
+            family = set(rng.sample(sets, rng.randint(1, len(sets))))
+            ground = "abcde"[:n]
+            bases = [[g for i, g in enumerate(ground) if mask >> i & 1] for mask in family]
+            if exchange_holds(family, n):
+                m = Matroid.from_bases(ground, bases)
+                assert {m.mask_of(b) for b in m.bases()} == family
+            else:
+                with pytest.raises(AxiomViolation):
+                    Matroid.from_bases(ground, bases)
+            verdicts.add(exchange_holds(family, n))
+        assert verdicts == {True, False}
 
     def test_from_bases_errors(self):
         with pytest.raises(ValueError, match="at least one basis is required"):
