@@ -17,6 +17,7 @@ certificate.
 
 from __future__ import annotations
 
+import reprlib
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -87,7 +88,7 @@ def parse_presentation(doc: Any) -> Presentation:
             or len(entry) != 2
             or not all(isinstance(x, str) for x in entry)
         ):
-            raise ParseError(f"arc {entry!r} must be a pair of vertex labels")
+            raise ParseError(f"arc {reprlib.repr(entry)} must be a pair of vertex labels")
         arcs.append((entry[0], entry[1]))
     if len(set(arcs)) != len(arcs):
         raise ParseError("duplicate arcs")  # Digraph would merge them silently
@@ -308,13 +309,9 @@ def verify_certificate(doc: Any) -> None:
 
     em = doc["recipe"]["excluded_minor"]
     try:
-        m = Matroid.from_bases(em["ground"], em["bases"])
+        m = Matroid.from_bases(em["ground"], em["bases"], canonical=True)
     except (AxiomViolation, ValueError) as exc:
         raise ReverifyFailed("recipe.excluded_minor.bases", str(exc)) from None
-    if m.to_doc()["bases"] != em["bases"]:
-        raise ReverifyFailed(
-            "recipe.excluded_minor.bases", "basis family is not in canonical form"
-        )
 
     ing = doc["ingleton"]
     try:

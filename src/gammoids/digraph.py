@@ -18,7 +18,13 @@ tree carries each extension's augmenting path, so an extension's flow is
 a copy plus a walk along that path.
 
 That enumeration runs in a small C kernel, ``_linkage.c`` beside this
-file, called through ``ctypes`` once per materialization. Importing this
+file, called through ``ctypes`` once per enumeration. It receives the
+query itself as int32 arrays (vertex count, arc tails and heads, ground
+and target indices), builds the network and routes the rank. Given the
+independent sets of a matroid instead of an array to fill, it compares
+the linked sets with them and stops at the first difference, so a
+record that does not present its minor costs at most one search per
+independent set of the minor (:func:`_linkage_independence`). Importing this
 module compiles the kernel with the interpreter's C compiler into the
 per-user cache (``$XDG_CACHE_HOME/gammoids``, else ``~/.cache/gammoids``),
 under a name hashed from the source, the compiler command and the
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import reprlib
 import shlex
 import subprocess
 import sysconfig
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,7 +97,7 @@ def _load_kernel():
     except (OSError, ValueError, RuntimeError, AttributeError, subprocess.SubprocessError):
         return None
     count, array = ctypes.c_int32, ctypes.c_void_p
-    kernel.argtypes = [count] * 3 + [array] * 4 + [count, array, array, count, array]
+    kernel.argtypes = [count, count, array, count, array, count] + [array] * 4
     kernel.restype = ctypes.c_int
     return kernel
 
@@ -115,9 +122,11 @@ class Digraph:
         seen = set()
         for u, v in arcs:
             if u == v:
-                raise ValueError(f"self-loop at {u!r}")
+                raise ValueError(f"self-loop at {reprlib.repr(u)}")
             if u not in index or v not in index:
-                raise ValueError(f"arc ({u!r}, {v!r}) uses an undeclared vertex")
+                raise ValueError(
+                    f"arc ({reprlib.repr(u)}, {reprlib.repr(v)}) uses an undeclared vertex"
+                )
             seen.add((u, v))
         canon = tuple(sorted(seen, key=lambda a: (index[a[0]], index[a[1]])))
         object.__setattr__(self, "vertices", vertices)
@@ -146,7 +155,7 @@ class Digraph:
 
     def without_vertex(self, v: str) -> "Digraph":
         if v not in self.index:
-            raise ValueError(f"no vertex {v!r}")
+            raise ValueError(f"no vertex {reprlib.repr(v)}")
         return Digraph(
             tuple(w for w in self.vertices if w != v),
             [a for a in self.arcs if v not in a],
@@ -202,7 +211,7 @@ class Presentation:
                 raise ValueError(f"duplicate labels in {name}")
             for v in part:
                 if v not in index:
-                    raise ValueError(f"{name} label {v!r} is not a vertex")
+                    raise ValueError(f"{name} label {reprlib.repr(v)} is not a vertex")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "targets", targets)
@@ -220,9 +229,8 @@ class Presentation:
         """
         if set(self.ground) != set(m.ground):
             return False
-        indep = _linkage_independence(self.graph, self.ground, self.targets)
-        pc = _popcounts(len(self.ground))
-        return bool(np.array_equal(indep, m.table_in(self.ground) == pc))
+        expected = m.table_in(self.ground) == _popcounts(len(self.ground))
+        return _linkage_independence(self.graph, self.ground, self.targets, expected).equal
 
     def with_ground(self, ground: Iterable[str]) -> "Presentation":
         return Presentation(self.graph, ground, self.targets)
@@ -238,6 +246,9 @@ class Presentation:
 
 class _FlowNetwork:
     """Unit-vertex-capacity flow network for one (graph, targets) pair.
+
+    It serves :func:`max_linking` and the Python engine; the C kernel
+    builds the same network itself.
 
     Node numbering: vertex i splits into in-node 2i and out-node 2i+1;
     the super-source and super-sink sit at 2n and 2n+1. Arc k and its
@@ -373,7 +384,7 @@ def max_linking(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) 
     src_idx = [idx[v] for v in sources]
     for t in targets:
         if t not in idx:
-            raise ValueError(f"target {t!r} is not a vertex")
+            raise ValueError(f"target {reprlib.repr(t)} is not a vertex")
     net = _FlowNetwork(graph, targets)
     caps = net.fresh()
     net.route(caps, src_idx)
@@ -385,9 +396,20 @@ def is_linked(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) ->
     return max_linking(graph, sources, targets).size == len(sources)
 
 
+class _Comparison(NamedTuple):
+    """How a presentation's linked sets compare with a matroid's independent sets."""
+
+    equal: bool
+    searches: int  # linked sets searched before the verdict
+    differs_at: int  # the first set found in one family only, by mask; -1 if none
+
+
 def _linkage_independence(
-    graph: Digraph, ground: Sequence[str], targets: Iterable[str]
-) -> np.ndarray:
+    graph: Digraph,
+    ground: Sequence[str],
+    targets: Iterable[str],
+    expected: np.ndarray | None = None,
+) -> np.ndarray | _Comparison:
     """Which subsets of the ground set are linked to the targets, by mask.
 
     One route over the whole ground gives the rank; no larger subset is
@@ -406,36 +428,76 @@ def _linkage_independence(
     any other extension contains an unlinked set. A set with no such
     element, or of full rank, is a leaf and is never searched.
 
+    With ``expected``, the independent sets of a matroid on ``ground``
+    by mask, the linked sets are compared with them instead of returned,
+    and the growing stops at the first difference. The routed set R
+    must be a basis there: independent, with no independent R + e. Then
+    every candidate e of every searched set I must be reached exactly
+    when I + e is expected. Each linked set is checked as its parent's
+    candidate, and the smallest expected set that is not linked is
+    either larger than the rank or some searched set's candidate, so
+    the verdict is exact, and a mismatch costs at most one search per
+    expected set.
+
     The growing runs in the C kernel when it is loaded, else in
     :func:`_grow_linked`; both follow the steps above in the same order.
     """
-    net = _FlowNetwork(graph, targets)
-    idx = graph.index
-    in_node = [2 * idx[g] for g in ground]
-    source_arc = [net.src_arc[idx[g]] for g in ground]
-    rank = net.route(net.fresh(), [idx[g] for g in ground])
-    indep = np.zeros(1 << len(ground), dtype=bool)
-    indep[0] = True
-    if rank:
-        grow = _grow_linked if _KERNEL is None else _grow_linked_c
-        grow(net, in_node, source_arc, rank, indep)
-    return indep
+    indep = None
+    if expected is None:
+        indep = np.zeros(1 << len(ground), dtype=bool)
+        indep[0] = True
+    grow = _grow_linked if _KERNEL is None else _grow_linked_c
+    searches, differs_at = grow(graph, ground, targets, expected, indep)
+    if expected is None:
+        return indep
+    return _Comparison(differs_at < 0, searches, differs_at)
 
 
 def _grow_linked(
-    net: _FlowNetwork, in_node: list[int], source_arc: list[int], rank: int, indep: np.ndarray
-) -> None:
-    """Mark every non-empty linked set in ``indep`` (the Python engine)."""
+    graph: Digraph,
+    ground: Sequence[str],
+    targets: Iterable[str],
+    expected: np.ndarray | None,
+    indep: np.ndarray | None,
+) -> tuple[int, int]:
+    """Grow the linked sets in Python (the reference engine).
+
+    Marks every non-empty linked set in ``indep`` if given, compares them
+    with ``expected`` if given, and returns the number of searches made
+    and the first set found to differ, or -1.
+    """
+    net = _FlowNetwork(graph, targets)
+    idx = graph.index
     heads = net.heads
     snk = net.snk
-    n = len(in_node)
+    n = len(ground)
+    in_node = [2 * idx[g] for g in ground]
+    source_arc = [net.src_arc[idx[g]] for g in ground]
+    routed = net.fresh()
+    rank = net.route(routed, [idx[g] for g in ground])
+    if expected is not None:
+        expected = expected.tobytes()  # bytes index to ints, fast in a loop
+        basis = sum(1 << e for e in range(n) if routed[source_arc[e] ^ 1])
+        if not expected[basis]:
+            return 0, basis
+        for e in range(n):
+            if not basis >> e & 1 and expected[basis | 1 << e]:
+                return 0, basis | 1 << e
+    if not rank:
+        return 0, -1
+    searches = 0
     linked: list[int] = []
     # linked sets still to search: mask, size, elements that may extend it, flow
     stack = [(0, 0, list(range(n)), net.fresh())]
     while stack:
         parent, size, cands, caps = stack.pop()
+        searches += 1
         toward = net.sink_tree(caps, {in_node[e] for e in cands})
         reached = [e for e in cands if toward[in_node[e]] != -1]
+        if expected is not None:
+            hits = [e for e in cands if expected[parent | 1 << e]]
+            if hits != reached:  # both ascend: the first difference is the least
+                return searches, parent | 1 << min(set(hits).symmetric_difference(reached))
         grow = size + 1 < rank
         for i, e in enumerate(reached):
             child = parent | 1 << e
@@ -450,34 +512,45 @@ def _grow_linked(
                     flow[a ^ 1] += 1
                     v = heads[a]
                 stack.append((child, size + 1, reached[:i], flow))
-    indep[linked] = True
+    if indep is not None:
+        indep[linked] = True
+    return searches, -1
 
 
 def _grow_linked_c(
-    net: _FlowNetwork, in_node: list[int], source_arc: list[int], rank: int, indep: np.ndarray
-) -> None:
-    """Mark every non-empty linked set in ``indep`` through the C kernel."""
-    n = len(in_node)
-    if not 0 < rank <= n <= MAX_GROUND or indep.shape != (1 << n,):
-        raise ValueError(f"bad kernel call: {n} elements of rank {rank}")
-    adj_start = np.zeros(net.n_nodes + 1, dtype=np.int32)
-    np.cumsum([len(out) for out in net.adj], out=adj_start[1:])
-    heads = np.array(net.heads, dtype=np.int32)
-    adj = np.fromiter(chain.from_iterable(net.adj), dtype=np.int32, count=len(net.base))
-    base = np.frombuffer(net.base, dtype=np.uint8)
-    in_nodes = np.array(in_node, dtype=np.int32)
-    sources = np.array(source_arc, dtype=np.int32)
+    graph: Digraph,
+    ground: Sequence[str],
+    targets: Iterable[str],
+    expected: np.ndarray | None,
+    indep: np.ndarray | None,
+) -> tuple[int, int]:
+    """:func:`_grow_linked` through the C kernel, which builds the network itself."""
+    idx = graph.index
+    n = len(ground)
+    for table in (expected, indep):
+        if table is not None and not (
+            table.dtype == bool and table.shape == (1 << n,) and table.flags.c_contiguous
+        ):
+            raise ValueError(f"bad kernel call: a table of {table.shape} for {n} elements")
+    arcs = np.fromiter(
+        map(idx.__getitem__, chain.from_iterable(graph.arcs)), np.int32, 2 * len(graph.arcs)
+    )
+    ends = np.fromiter(map(idx.__getitem__, chain(ground, targets)), np.int32)
+    stats = np.zeros(2, dtype=np.int64)
     # plain addresses: numpy's ctypes adapters (ndpointer, data_as) leave one
     # reference cycle per argument, which holds its array until a collection
     status = _KERNEL(
-        net.n_nodes, net.snk, len(net.base),
-        heads.ctypes.data, adj_start.ctypes.data, adj.ctypes.data, base.ctypes.data,
-        n, in_nodes.ctypes.data, sources.ctypes.data, rank, indep.ctypes.data,
+        len(graph.vertices), len(graph.arcs), arcs.ctypes.data,
+        n, ends.ctypes.data, len(ends) - n, ends[n:].ctypes.data,
+        None if expected is None else expected.ctypes.data,
+        None if indep is None else indep.ctypes.data,
+        stats.ctypes.data,
     )
     if status == 1:
         raise MemoryError("linkage kernel could not allocate its search state")
-    if status:
-        raise RuntimeError(f"linkage kernel rejected its network (status {status})")
+    if status not in (0, 3):
+        raise RuntimeError(f"linkage kernel rejected its query (status {status})")
+    return tuple(stats.tolist())
 
 
 def linkage_matroid(presentation: Presentation) -> Matroid:

@@ -13,6 +13,7 @@ listed in ascending mask order so that repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Iterable
@@ -140,8 +141,15 @@ class Matroid:
         cls,
         ground: Iterable[str],
         bases: Iterable[Iterable[str]],
+        *,
+        canonical: bool = False,
     ) -> "Matroid":
-        """Rebuild a matroid from its basis family (certificate decoding)."""
+        """Rebuild a matroid from its basis family (certificate decoding).
+
+        With ``canonical``, the family must also be listed as :meth:`to_doc`
+        lists it, or ``ValueError`` is raised: the labels of each basis in
+        ground order, and every basis once, in ascending mask order.
+        """
         ground = tuple(ground)
         n = len(ground)
         if n > MAX_GROUND:
@@ -155,7 +163,9 @@ class Matroid:
         try:
             indices = np.frombuffer(bytes(map(index.__getitem__, flat)), np.uint8)
         except KeyError as exc:
-            raise ValueError(f"basis label {exc.args[0]!r} not in ground set") from None
+            raise ValueError(
+                f"basis label {reprlib.repr(exc.args[0])} not in ground set"
+            ) from None
         starts = np.flatnonzero(indices == n)
         if not len(starts):
             raise ValueError("at least one basis is required")
@@ -168,7 +178,16 @@ class Matroid:
         for b in range(n):
             halves = indep.reshape(-1, 2, 1 << b)
             halves[:, 0] |= halves[:, 1]
-        return cls.from_independence(ground, indep)
+        m = cls.from_independence(ground, indep)
+        if canonical:
+            # label indices strictly increase within each basis (a marker
+            # opens each one), and the masks are the bases in ascending order
+            inner = (indices[:-1] != n) & (indices[1:] != n)
+            if np.any(indices[1:][inner] <= indices[:-1][inner]) or not np.array_equal(
+                masks, m._basis_mask_array()
+            ):
+                raise ValueError("basis family is not in canonical form")
+        return m
 
     # -- basic queries ----------------------------------------------------
 
@@ -186,7 +205,7 @@ class Matroid:
             try:
                 mask |= 1 << self._index[label]
             except KeyError:
-                raise ValueError(f"label {label!r} not in ground set") from None
+                raise ValueError(f"label {reprlib.repr(label)} not in ground set") from None
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import gammoids
 from conftest import complete, requires_kernel
-from gammoids import certificate, construction
+from gammoids import certificate, construction, digraph
 from gammoids.certificate import (
     certificate_from_doc,
     certificate_to_doc,
@@ -29,6 +30,7 @@ from gammoids.errors import (
     RetargetFailed,
     ReverifyFailed,
 )
+from gammoids.matroid import Matroid, _popcounts
 
 
 @pytest.fixture()
@@ -335,6 +337,51 @@ def test_hostile_input_is_a_parse_error(runner, tmp_path, command, content, mess
     assert message in result.output
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p["arcs"].append(["v"] * 1_000_000),
+        lambda p: p["ground"].append("v" * 1_000_000),
+        lambda p: p["arcs"].append(["a", "v" * 1_000_000]),
+    ],
+    ids=["arc-of-a-million-labels", "ground-label", "arc-endpoint"],
+)
+def test_hostile_values_are_not_echoed(runner, u24_cert_doc, mutate):
+    """A parse error quotes at most a bounded excerpt of what it refuses."""
+    doc = copy.deepcopy(U24_DOC)
+    mutate(doc)
+    built = runner.invoke(main, ["build"], input=json.dumps(doc))
+    assert built.exit_code == 2
+    assert len(built.stderr_bytes) < 1024
+    # in a certificate, a malformed record fails re-verification at the record
+    cert = copy.deepcopy(u24_cert_doc)
+    mutate(cert["minors"][1]["contraction"]["presentation"])
+    verified = runner.invoke(main, ["verify"], input=json.dumps(cert))
+    assert verified.exit_code == 5
+    assert verified.stderr.startswith("re-verification failed at minors[1].contraction: ")
+    assert len(verified.stderr_bytes) < 1024
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda doc: doc["recipe"]["excluded_minor"]["bases"][0].append("v" * 10**6),
+         "recipe.excluded_minor.bases"),
+        (lambda doc: doc["ingleton"]["A"].append("v" * 10**6), "ingleton"),
+    ],
+    ids=["basis-label", "ingleton-label"],
+)
+def test_hostile_labels_of_the_excluded_minor_are_not_echoed(
+    runner, u24_cert_doc, mutate, where
+):
+    cert = copy.deepcopy(u24_cert_doc)
+    mutate(cert)
+    verified = runner.invoke(main, ["verify"], input=json.dumps(cert))
+    assert verified.exit_code == 5
+    assert verified.stderr.startswith(f"re-verification failed at {where}: ")
+    assert len(verified.stderr_bytes) < 1024
+
+
 class TestVerifyCommand:
     def test_fresh_certificate_verifies(self, u24_cert_doc):
         verify_certificate(copy.deepcopy(u24_cert_doc))
@@ -401,6 +448,43 @@ class TestVerifyCommand:
         write_json(path, doc)
         result = runner.invoke(main, ["verify", str(path)])
         assert result.exit_code == 2
+
+
+    @pytest.mark.parametrize("side", ["deletion", "contraction"])
+    def test_record_presenting_a_larger_family_stops_early(
+        self, runner, monkeypatch, u24_cert_doc, side
+    ):
+        # record 2 presents the uniform matroid of the minor's rank on its ground
+        doc = copy.deepcopy(u24_cert_doc)
+        em = doc["recipe"]["excluded_minor"]
+        x = doc["minors"][2]["x"]
+        m = Matroid.from_bases(em["ground"], em["bases"])
+        minor = m.delete([x]) if side == "deletion" else m.contract([x])
+        assert len(minor.bases()) < comb(minor.size, minor.rank)  # not uniform
+        targets = [f"~t{i}" for i in range(minor.rank)]
+        doc["minors"][2][side]["presentation"] = {
+            "vertices": list(minor.ground) + targets,
+            "arcs": [[g, t] for g in minor.ground for t in targets],
+            "ground": list(minor.ground),
+            "targets": targets,
+        }
+        found = []
+        compare = digraph._linkage_independence
+
+        def spy(*args):
+            found.append(compare(*args))
+            return found[-1]
+
+        monkeypatch.setattr(digraph, "_linkage_independence", spy)
+        result = runner.invoke(main, ["verify"], input=json.dumps(doc))
+        assert result.exit_code == 5
+        assert result.output == (
+            f"re-verification failed at minors[2].{side}: "
+            "presentation does not present the minor\n"
+        )
+        stopped = found[-1]
+        assert not stopped.equal
+        assert stopped.searches <= int((minor.table == _popcounts(minor.size)).sum()) + 1
 
 
 class TestBasisSchema:

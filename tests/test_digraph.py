@@ -2,8 +2,12 @@ import gc
 import json
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ from gammoids.digraph import (
     transversal_duality_check,
 )
 from gammoids.errors import GraphTooLarge, GroundSetTooLarge, NotStrict
-from gammoids.matroid import Matroid
+from gammoids.matroid import Matroid, _popcounts
 
 
 def both_engines(p: Presentation, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
@@ -256,27 +260,34 @@ class TestReverseSearch:
         assert all(seen.values()), seen
 
 
+def presents_cases():
+    """300 presentations, each with four matroids it may or may not present."""
+    rng = random.Random(0x9E5E)
+    for _ in range(300):
+        p = random_presentation(rng, max_vertices=8)
+        order = list(p.ground)
+        rng.shuffle(order)
+        verts = p.graph.vertices
+        arcs = [(u, v) for u in verts for v in verts if u != v and rng.random() < 0.3]
+        other = Presentation(Digraph(verts, arcs), order, random_vertex_subset(rng, p.graph, 0.4))
+        yield p, other, {
+            "itself": p.matroid,
+            "reordered": Matroid(order, p.matroid.table_in(order)),
+            "other": other.matroid,
+            "relabeled": Matroid([g + "'" for g in p.ground], p.matroid.table),
+        }
+
+
+def independent_sets(m: Matroid, order) -> np.ndarray:
+    return m.table_in(order) == _popcounts(len(order))
+
+
 class TestPresents:
     """presents agrees with building the table and comparing it whole."""
 
     def test_agrees_with_equals(self):
-        rng = random.Random(0x9E5E)
         seen = set()
-        for _ in range(300):
-            p = random_presentation(rng, max_vertices=8)
-            order = list(p.ground)
-            rng.shuffle(order)
-            verts = p.graph.vertices
-            arcs = [(u, v) for u in verts for v in verts if u != v and rng.random() < 0.3]
-            other = Presentation(
-                Digraph(verts, arcs), order, random_vertex_subset(rng, p.graph, 0.4)
-            )
-            candidates = {
-                "itself": p.matroid,
-                "reordered": Matroid(order, p.matroid.table_in(order)),
-                "other": other.matroid,
-                "relabeled": Matroid([g + "'" for g in p.ground], p.matroid.table),
-            }
+        for p, other, candidates in presents_cases():
             for case, m in candidates.items():
                 verdict = p.presents(m)
                 assert verdict == p.matroid.equals(m), (case, p, other)
@@ -285,6 +296,58 @@ class TestPresents:
             ("itself", True), ("reordered", True), ("other", True), ("other", False),
             ("relabeled", False),
         }
+
+
+# U(4,16): each of 16 vertices reaches each of 4 targets
+WIDE_GROUND = [f"g{i}" for i in range(16)]
+WIDE_TARGETS = ["t0", "t1", "t2", "t3"]
+WIDE_UNIFORM = Presentation(
+    Digraph(WIDE_GROUND + WIDE_TARGETS, [(g, t) for g in WIDE_GROUND for t in WIDE_TARGETS]),
+    WIDE_GROUND,
+    WIDE_TARGETS,
+)
+
+
+class TestEarlyStop:
+    """A comparison stops at the first set whose linkedness differs."""
+
+    def compare(self, m: Matroid):
+        p = WIDE_UNIFORM
+        return digraph._linkage_independence(
+            p.graph, p.ground, p.targets, independent_sets(m, p.ground)
+        )
+
+    def test_honest_record_searches_in_full(self):
+        found = self.compare(WIDE_UNIFORM.matroid)
+        assert found.equal and found.differs_at == -1
+        # every linked set of size at most 3 with an element below its lowest
+        assert found.searches == 1 + 15 + comb(15, 2) + comb(15, 3)
+
+    @pytest.mark.parametrize(
+        "small, searches, differs_at",
+        [
+            # four coloops and twelve loops: the root search meets g4
+            (Matroid.from_bases(WIDE_GROUND, [WIDE_GROUND[:4]]), 1, 1 << 4),
+            # rank 4 on eight parallel pairs g_i, g_i+8: the routed g0..g3 is a
+            # basis, and the search of {g15} meets g7
+            (
+                Matroid.from_independence_oracle(
+                    WIDE_GROUND, lambda x: x.bit_count() <= 4 and not x & x >> 8 & 0xFF
+                ),
+                2,
+                1 << 7 | 1 << 15,
+            ),
+        ],
+        ids=["coloops", "parallel-pairs"],
+    )
+    def test_larger_family_stops_within_the_expected_sets(self, small, searches, differs_at):
+        found = self.compare(small)
+        assert (found.equal, found.searches, found.differs_at) == (False, searches, differs_at)
+        assert found.searches <= int(independent_sets(small, WIDE_GROUND).sum()) + 1
+
+    def test_rank_is_compared_first(self):
+        found = self.compare(Matroid.from_bases(WIDE_GROUND, [WIDE_GROUND[:3]]))
+        assert (found.equal, found.searches, found.differs_at) == (False, 0, 0b1111)
 
 
 @pytest.mark.usefixtures("python_engine")
@@ -307,6 +370,11 @@ class TestReverseSearchPythonEngine(TestReverseSearch):
     pass
 
 
+@pytest.mark.usefixtures("python_engine")
+class TestEarlyStopPythonEngine(TestEarlyStop):
+    pass
+
+
 @requires_kernel
 class TestKernel:
     """The C kernel marks exactly the sets the Python enumeration marks."""
@@ -322,9 +390,9 @@ class TestKernel:
         seen = []
         enumerate_linked = digraph._linkage_independence
 
-        def spy(graph, ground, targets):
+        def spy(graph, ground, targets, *expected):
             seen.append(Presentation(graph, ground, targets))
-            return enumerate_linked(graph, ground, targets)
+            return enumerate_linked(graph, ground, targets, *expected)
 
         with monkeypatch.context() as m:
             m.setattr(digraph, "_linkage_independence", spy)
@@ -336,30 +404,60 @@ class TestKernel:
             assert np.array_equal(kernel, python), p
 
     def test_inconsistent_network_is_refused(self):
-        net = digraph._FlowNetwork(Digraph("ab", [("a", "b")]), "b")
-        n_caps = len(net.base)
-
-        def call(heads=net.heads, in_node=(0, 2), rank=1):
+        # vertices a, b; arc a -> b; ground a, b; target b
+        def call(n_vertices=2, arcs=(0, 1), ground=(0, 1), targets=(1,), n=None):
             arrays = [
-                np.array(heads, dtype=np.int32),
-                np.cumsum([0] + [len(out) for out in net.adj], dtype=np.int32),
-                np.array([a for out in net.adj for a in out], dtype=np.int32),
-                np.frombuffer(net.base, dtype=np.uint8),
-                np.array(in_node, dtype=np.int32),
-                np.array(net.src_arc, dtype=np.int32),
+                np.array(arcs, dtype=np.int32),
+                np.array(ground, dtype=np.int32),
+                np.array(targets, dtype=np.int32),
                 np.zeros(4, dtype=np.uint8),
+                np.zeros(2, dtype=np.int64),
             ]
-            heads, adj_start, adj, base, in_nodes, sources, indep = (a.ctypes.data for a in arrays)
+            arcs, ground_, targets_, indep, stats = (a.ctypes.data for a in arrays)
             return digraph._KERNEL(
-                net.n_nodes, net.snk, n_caps, heads, adj_start, adj, base,
-                2, in_nodes, sources, rank, indep,
+                n_vertices, len(arrays[0]) // 2, arcs,
+                len(ground) if n is None else n, ground_,
+                len(targets), targets_, None, indep, stats,
             )
 
         assert call() == 0
-        assert call(heads=[net.n_nodes] + net.heads[1:]) == 2  # a head out of range
-        assert call(heads=net.heads[1:] + net.heads[:1]) == 2  # twins that disagree
-        assert call(in_node=(0, -1)) == 2
-        assert call(rank=3) == 2  # more than the ground
+        assert call(arcs=(0, 2)) == 2  # an endpoint out of range
+        assert call(arcs=(-1, 1)) == 2
+        assert call(ground=(0, -1)) == 2  # a ground index out of range
+        assert call(ground=(0, 2)) == 2
+        assert call(ground=(1, 1)) == 2  # a repeated ground index
+        assert call(targets=(2,)) == 2  # a target index out of range
+        assert call(targets=(1, 1)) == 2  # a repeated target index
+        assert call(n=-1) == 2  # ground sizes the kernel must refuse
+        assert call(n=25) == 2
+        assert call(n_vertices=-1, arcs=()) == 2
+
+    def test_builds_no_flow_network(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the kernel builds its own network")
+
+        p = WIDE_UNIFORM
+        monkeypatch.setattr(digraph, "_FlowNetwork", refuse)
+        assert p.presents(linkage_matroid(p))
+
+    def test_engines_stop_at_the_same_set(self, monkeypatch):
+        """Same verdict, same searches, same first difference, in every case."""
+        stopped = 0
+        for p, _, candidates in presents_cases():
+            for m in candidates.values():
+                if set(m.ground) != set(p.ground):
+                    continue
+                expected = independent_sets(m, p.ground)
+                args = (p.graph, p.ground, p.targets, expected)
+                kernel = digraph._linkage_independence(*args)
+                with monkeypatch.context() as patched:
+                    patched.setattr(digraph, "_KERNEL", None)
+                    assert digraph._linkage_independence(*args) == kernel, p
+                assert kernel.equal == p.matroid.equals(m)
+                if not kernel.equal:
+                    assert kernel.searches <= int(expected.sum()) + 1
+                    stopped += 1
+        assert stopped > 20
 
 
 # a fresh interpreter imports the package with a given C compiler and
@@ -401,6 +499,18 @@ class TestKernelBuild:
         cache.chmod(0o777)
         assert import_in_fresh_interpreter(tmp_path) == "python"
         assert list(cache.iterdir()) == []
+
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "")
+        if not cc or shutil.which(cc[0]) is None:
+            pytest.skip("no C compiler")
+        source = Path(digraph.__file__).with_name("_linkage.c")
+        flags = ["-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC"]
+        done = subprocess.run(
+            cc + flags + ["-o", str(tmp_path / "linkage.so"), str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     @requires_kernel
     def test_cold_cache_compiles_once(self, tmp_path):

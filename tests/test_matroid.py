@@ -466,3 +466,45 @@ class TestBasisListing:
         assert Matroid.from_bases("abcd", ["".join(b) for b in bases]).equals(m)
         assert Matroid.from_bases("abcd", (iter(b) for b in bases)).equals(m)
         assert Matroid.from_bases("abcd", map(tuple, bases)).equals(m)
+
+
+class TestCanonicalBases:
+    """``from_bases(canonical=True)`` accepts a family iff ``to_doc`` lists it so."""
+
+    @cube_settings
+    @given(gf2_columns, st.randoms(use_true_random=False))
+    @example([], random.Random(0))  # rank 0: the family [[]]
+    @example([0, 0, 0], random.Random(0))
+    @example([1, 2, 4, 8, 1, 2, 4, 8, 15], random.Random(0))
+    def test_agrees_with_comparing_the_listing(self, cols, rng):
+        m = gf2_matroid(cols)
+        listed = m.to_doc()["bases"]
+        assert Matroid.from_bases(m.ground, listed, canonical=True).equals(m)
+        for family in variants(listed, rng):
+            try:
+                plain = Matroid.from_bases(m.ground, family)
+            except (AxiomViolation, ValueError):
+                with pytest.raises((AxiomViolation, ValueError)):
+                    Matroid.from_bases(m.ground, family, canonical=True)
+                continue
+            if family == plain.to_doc()["bases"]:
+                assert Matroid.from_bases(m.ground, family, canonical=True).equals(plain)
+            else:
+                with pytest.raises(ValueError, match="^basis family is not in canonical form$"):
+                    Matroid.from_bases(m.ground, family, canonical=True)
+
+
+def variants(listed: list[list[str]], rng: random.Random) -> list[list[list[str]]]:
+    """Families near ``listed``: reordered, repeated, with bases dropped or grown."""
+    out = [[list(b) for b in listed] for _ in range(6)]
+    reversed_basis, swapped, repeated, dropped, doubled_label, shuffled = out
+    k = rng.randrange(len(listed))
+    reversed_basis[k].reverse()
+    i, j = rng.randrange(len(listed)), rng.randrange(len(listed))
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    repeated.insert(k, list(listed[k]))
+    del dropped[k]
+    if listed[k]:
+        doubled_label[k].append(listed[k][-1])
+    rng.shuffle(shuffled)
+    return out
