@@ -22,6 +22,8 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+import numpy as np
+
 from .construction import CLAIM_NAMES, Certificate, MinorRecord
 from .digraph import Digraph, Presentation
 from .errors import (
@@ -293,6 +295,27 @@ def _check_certificate_schema(doc: Any) -> None:
         raise ParseError("notes must be a list of strings")
 
 
+def _excluded_minor(em: dict) -> Matroid:
+    """Decode the excluded minor, whose bases must be listed as ``to_doc`` lists them."""
+    ground = tuple(em["ground"])
+    try:
+        indices, masks = Matroid._read_bases(ground, em["bases"])
+        m = Matroid._from_basis_masks(ground, masks)
+    except (AxiomViolation, ValueError) as exc:
+        raise ReverifyFailed("recipe.excluded_minor.bases", str(exc)) from None
+    # label indices strictly increase within each basis (a marker, len(ground),
+    # opens each one), and the masks are the bases in ascending order
+    n = len(ground)
+    inner = (indices[:-1] != n) & (indices[1:] != n)
+    if np.any(indices[1:][inner] <= indices[:-1][inner]) or not np.array_equal(
+        masks, m._basis_mask_array()
+    ):
+        raise ReverifyFailed(
+            "recipe.excluded_minor.bases", "basis family is not in canonical form"
+        )
+    return m
+
+
 def verify_certificate(doc: Any) -> None:
     """Re-validate a certificate document from scratch.
 
@@ -307,11 +330,7 @@ def verify_certificate(doc: Any) -> None:
         if verdict is not True:
             raise ReverifyFailed(f"claims.{name}", "certificate is not complete")
 
-    em = doc["recipe"]["excluded_minor"]
-    try:
-        m = Matroid.from_bases(em["ground"], em["bases"], canonical=True)
-    except (AxiomViolation, ValueError) as exc:
-        raise ReverifyFailed("recipe.excluded_minor.bases", str(exc)) from None
+    m = _excluded_minor(doc["recipe"]["excluded_minor"])
 
     ing = doc["ingleton"]
     try:

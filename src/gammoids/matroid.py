@@ -141,16 +141,21 @@ class Matroid:
         cls,
         ground: Iterable[str],
         bases: Iterable[Iterable[str]],
-        *,
-        canonical: bool = False,
     ) -> "Matroid":
-        """Rebuild a matroid from its basis family (certificate decoding).
-
-        With ``canonical``, the family must also be listed as :meth:`to_doc`
-        lists it, or ``ValueError`` is raised: the labels of each basis in
-        ground order, and every basis once, in ascending mask order.
-        """
+        """Rebuild a matroid from its basis family (certificate decoding)."""
         ground = tuple(ground)
+        return cls._from_basis_masks(ground, cls._read_bases(ground, bases)[1])
+
+    @staticmethod
+    def _read_bases(
+        ground: tuple[str, ...], bases: Iterable[Iterable[str]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Read a basis family as ``(indices, masks)``.
+
+        ``indices`` holds each label's bit index, with ``len(ground)``
+        opening each basis; ``masks`` holds one mask per listed basis, in
+        the order listed.
+        """
         n = len(ground)
         if n > MAX_GROUND:
             raise GroundSetTooLarge(f"{n} elements exceeds cap {MAX_GROUND}")
@@ -171,23 +176,17 @@ class Matroid:
             raise ValueError("at least one basis is required")
         # a run is one basis: its marker, which adds no element, then its labels
         weights = np.array([1 << i for i in range(n)] + [0], dtype=np.uint32)
-        masks = np.bitwise_or.reduceat(weights[indices], starts)
+        return indices, np.bitwise_or.reduceat(weights[indices], starts)
+
+    @classmethod
+    def _from_basis_masks(cls, ground: tuple[str, ...], masks: np.ndarray) -> "Matroid":
         # the independent sets are the subsets of bases: one pass per bit
-        indep = np.zeros(1 << n, dtype=bool)
+        indep = np.zeros(1 << len(ground), dtype=bool)
         indep[masks] = True
-        for b in range(n):
+        for b in range(len(ground)):
             halves = indep.reshape(-1, 2, 1 << b)
             halves[:, 0] |= halves[:, 1]
-        m = cls.from_independence(ground, indep)
-        if canonical:
-            # label indices strictly increase within each basis (a marker
-            # opens each one), and the masks are the bases in ascending order
-            inner = (indices[:-1] != n) & (indices[1:] != n)
-            if np.any(indices[1:][inner] <= indices[:-1][inner]) or not np.array_equal(
-                masks, m._basis_mask_array()
-            ):
-                raise ValueError("basis family is not in canonical form")
-        return m
+        return cls.from_independence(ground, indep)
 
     # -- basic queries ----------------------------------------------------
 

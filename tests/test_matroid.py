@@ -7,8 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform
+from gammoids.certificate import _excluded_minor
 from gammoids.corpus import random_presentation
-from gammoids.errors import AxiomViolation, GroundSetTooLarge, NotACircuitHyperplane
+from gammoids.errors import (
+    AxiomViolation,
+    GroundSetTooLarge,
+    NotACircuitHyperplane,
+    ReverifyFailed,
+)
 from gammoids.matroid import Matroid
 
 
@@ -469,7 +475,7 @@ class TestBasisListing:
 
 
 class TestCanonicalBases:
-    """``from_bases(canonical=True)`` accepts a family iff ``to_doc`` lists it so."""
+    """``verify`` accepts an excluded minor's family iff ``to_doc`` lists it so."""
 
     @cube_settings
     @given(gf2_columns, st.randoms(use_true_random=False))
@@ -479,19 +485,23 @@ class TestCanonicalBases:
     def test_agrees_with_comparing_the_listing(self, cols, rng):
         m = gf2_matroid(cols)
         listed = m.to_doc()["bases"]
-        assert Matroid.from_bases(m.ground, listed, canonical=True).equals(m)
+        assert _excluded_minor({"ground": list(m.ground), "bases": listed}).equals(m)
         for family in variants(listed, rng):
+            doc = {"ground": list(m.ground), "bases": family}
             try:
                 plain = Matroid.from_bases(m.ground, family)
-            except (AxiomViolation, ValueError):
-                with pytest.raises((AxiomViolation, ValueError)):
-                    Matroid.from_bases(m.ground, family, canonical=True)
+            except (AxiomViolation, ValueError) as exc:
+                with pytest.raises(ReverifyFailed) as info:
+                    _excluded_minor(doc)
+                assert info.value.detail == str(exc)
                 continue
             if family == plain.to_doc()["bases"]:
-                assert Matroid.from_bases(m.ground, family, canonical=True).equals(plain)
+                assert _excluded_minor(doc).equals(plain)
             else:
-                with pytest.raises(ValueError, match="^basis family is not in canonical form$"):
-                    Matroid.from_bases(m.ground, family, canonical=True)
+                with pytest.raises(ReverifyFailed) as info:
+                    _excluded_minor(doc)
+                assert info.value.location == "recipe.excluded_minor.bases"
+                assert info.value.detail == "basis family is not in canonical form"
 
 
 def variants(listed: list[list[str]], rng: random.Random) -> list[list[list[str]]]:
