@@ -1,23 +1,46 @@
 /* The linked-set enumeration of gammoids.digraph._grow_linked in C.
 
    The algorithm is described in the docstring of
-   gammoids.digraph._linkage_independence, and this file follows the
-   Python engine statement by statement: the same network, the same
-   routing of the rank, the same stack order, the same candidates (kept
-   as a bit mask, lowest element first), the same reverse BFS from the
-   sink that stops once every candidate is reached, and the same walk
-   that builds a child's flow. gammoids.digraph compiles this file and
-   calls it through ctypes.
+   gammoids.digraph._linkage_independence. The kernel runs it on the
+   vertices themselves rather than on _FlowNetwork's vertex-split
+   network. A flow is succ[v] and pred[v] per vertex (the next and the
+   previous vertex on its path; -1 for the sink, for the source, or off
+   every path) plus two vertex bitsets: on (vertices on a path) and
+   free (targets whose sink arc carries no flow). The reverse search
+   from the sink runs level by level over bitsets of nw = ceil(nv / 64)
+   words, reaching in-nodes and out-nodes of the split network by five
+   residual rules, where X <- Y means that X is reached from Y (the
+   residual network has an arc X -> Y):
+     out(t) <- sink    for a free target t;
+     in(v)  <- out(v)  for v on no path;
+     in(w)  <- out(v)  for w = succ[v];
+     out(u) <- in(v)   for each arc u -> v with u != pred[v];
+     out(v) <- in(v)   for v on a path.
+   The fourth rule needs no test of u: for v on a path, in(v) is reached
+   only from out(pred[v]), which is therefore already marked.
+   Each reached out-node keeps one pointer toward the sink; an in-node's
+   successor follows from the flow (out(v) off every path, else
+   out(pred[v])). A child's flow is the parent's plus a walk along them.
+   In-neighbours are sparse (word, bits) rows, so the kernel allocates
+   O(vertices + arcs) plus its stack, and no table of nv x nv bits.
+
+   The two engines build different flows, but their results agree. For
+   a linked set I and any maximum flow of it, in(e) reaches the sink
+   exactly when I + e is linked, so which candidates a search reaches
+   depends only on the linked family; so does the routed set, the first
+   basis in vertex order. The stack order, the candidates (a bit mask,
+   lowest element first) and the stop once every candidate is reached
+   are those of the Python engine, so indep, the number of searches and
+   the first set found to differ are the same. gammoids.digraph compiles
+   this file and calls it through ctypes.
 
    The kernel receives the query itself: n_vertices, the n_arcs arcs as
    (tail, head) pairs of vertex indices in arcs, the n ground elements
-   and the n_targets targets as vertex indices. It builds the
-   vertex-split network of _FlowNetwork with the same arc order: arc k
-   and its residual twin sit at 2k and 2k + 1, the arcs leaving node u
-   at adj[adj_start[u]] .. adj[adj_start[u + 1] - 1]. Every index is
-   checked, ground and target indices must not repeat, and every buffer
-   is sized from the kernel's own counts, so a hostile query cannot make
-   this code read or write out of bounds.
+   and the n_targets targets as vertex indices. Self-loops and repeated
+   arcs change no linked set and are dropped. Every index is checked,
+   ground and target indices must not repeat, and every buffer is sized
+   from the kernel's own counts, so a hostile query cannot make this
+   code read or write out of bounds.
 
    indep, if not NULL (1 << n bytes, indep[0] already set), receives every
    linked set. expected, if not NULL (1 << n bytes: the independent sets
@@ -49,129 +72,171 @@ enum {
 #define MAX_VERTICES (1 << 20)
 #define MAX_ARCS (1 << 24)
 
-/* the vertex-split network, laid out as _FlowNetwork lays it out */
-struct network {
-    int32_t n_nodes, src, snk, n_caps;
-    int32_t *heads, *adj_start, *adj;
-    uint8_t *base;
+typedef uint64_t word;
+#define BIT(v) ((word)1 << ((v) & 63))
+#define HAS(set, v) ((set)[(v) >> 6] >> ((v) & 63) & 1)
+
+/* the graph as in-neighbour rows: row v holds the tails of the arcs into
+   v, as entries (row_word[r], row_bits[r]) for r in row[v] .. row[v + 1] */
+struct graph {
+    int32_t nv, nw;
+    int32_t *row, *row_word;
+    word *row_bits;
 };
 
-static void free_network(struct network *net)
+/* one flow, in a block of flow_bytes(g): on[nw], free[nw], succ[nv], pred[nv] */
+struct flow {
+    word *on, *free;
+    int32_t *succ, *pred;
+};
+
+static size_t flow_bytes(const struct graph *g)
 {
-    free(net->heads);
-    free(net->adj_start);
-    free(net->adj);
-    free(net->base);
+    return 2 * (size_t)g->nw * sizeof(word) + 2 * (size_t)g->nv * sizeof(int32_t);
 }
 
-/* vertex i splits into in-node 2i and out-node 2i + 1; arcs are added as
-   source arcs (closed), internal arcs, graph arcs, then sink arcs from
-   the targets in vertex order */
-static int build_network(struct network *net, int32_t n_vertices, int32_t n_arcs,
-                         const int32_t *arcs, const uint8_t *is_target,
-                         int32_t n_targets)
+static struct flow flow_at(const struct graph *g, void *block)
 {
-    int32_t nv = n_vertices;
-    net->n_nodes = 2 * nv + 2;
-    net->src = 2 * nv;
-    net->snk = 2 * nv + 1;
-    net->n_caps = 2 * (2 * nv + n_arcs + n_targets);
-    net->heads = malloc((size_t)net->n_caps * sizeof *net->heads);
-    net->adj_start = calloc((size_t)net->n_nodes + 1, sizeof *net->adj_start);
-    net->adj = malloc((size_t)net->n_caps * sizeof *net->adj);
-    net->base = malloc((size_t)net->n_caps);
-    if (!net->heads || !net->adj_start || !net->adj || !net->base)
-        return 0;
-
-    int32_t k = 0;
-#define ADD(u, v, c)                                                      \
-    do {                                                                  \
-        net->heads[k] = (v);                                              \
-        net->base[k++] = (c);                                             \
-        net->heads[k] = (u);                                              \
-        net->base[k++] = 0;                                               \
-    } while (0)
-    for (int32_t i = 0; i < nv; i++)
-        ADD(net->src, 2 * i, 0);
-    for (int32_t i = 0; i < nv; i++)
-        ADD(2 * i, 2 * i + 1, 1);
-    for (int32_t j = 0; j < n_arcs; j++)
-        ADD(2 * arcs[2 * j] + 1, 2 * arcs[2 * j + 1], 1);
-    for (int32_t i = 0; i < nv; i++)
-        if (is_target[i])
-            ADD(2 * i + 1, net->snk, 1);
-#undef ADD
-
-    /* entry a leaves node heads[a ^ 1]; a stable counting sort keeps each
-       node's arcs in the order they were added */
-    int32_t *start = net->adj_start;
-    for (int32_t a = 0; a < net->n_caps; a++)
-        start[net->heads[a ^ 1] + 1]++;
-    for (int32_t u = 0; u < net->n_nodes; u++)
-        start[u + 1] += start[u];
-    int32_t *fill = malloc((size_t)net->n_nodes * sizeof *fill);
-    if (!fill)
-        return 0;
-    memcpy(fill, start, (size_t)net->n_nodes * sizeof *fill);
-    for (int32_t a = 0; a < net->n_caps; a++)
-        net->adj[fill[net->heads[a ^ 1]]++] = a;
-    free(fill);
-    return 1;
+    struct flow f;
+    f.on = block;
+    f.free = f.on + g->nw;
+    f.succ = (int32_t *)(f.free + g->nw);
+    f.pred = f.succ + g->nv;
+    return f;
 }
 
-/* _FlowNetwork.augment: push one unit along a BFS-shortest residual path
-   from the source, if any exists */
-static int augment(const struct network *net, uint8_t *caps, int32_t *prev,
-                   int32_t *queue)
+/* the state of one reverse search: reached in-nodes and out-nodes, the
+   frontiers with the list of their nonzero words, the vertices whose
+   in-nodes are wanted, and each reached out-node's pointer (a vertex u:
+   toward in(u)) */
+struct search {
+    word *seen_in, *seen_out, *next_in, *next_out, *want;
+    int32_t *in_words, *out_words, *ptr;
+};
+
+/* mark the bits b of word i reached in seen and in the frontier next,
+   listing i in words if it was empty there; returns the new bits */
+static inline word reach(word *seen, word *next, int32_t *words, int32_t *count,
+                         int32_t i, word b)
 {
-    memset(prev, 0xff, (size_t)net->n_nodes * sizeof *prev); /* all -1 */
-    prev[net->src] = -2;
-    queue[0] = net->src;
-    int32_t tail = 1;
-    for (int32_t head = 0; head < tail; head++) {
-        int32_t u = queue[head];
-        for (int32_t k = net->adj_start[u]; k < net->adj_start[u + 1]; k++) {
-            int32_t a = net->adj[k], v = net->heads[a];
-            if (!caps[a] || prev[v] != -1)
-                continue;
-            prev[v] = a;
-            if (v == net->snk) {
-                while (v != net->src) {
-                    a = prev[v];
-                    caps[a]--;
-                    caps[a ^ 1]++;
-                    v = net->heads[a ^ 1];
+    b &= ~seen[i];
+    if (b) {
+        seen[i] |= b;
+        if (!next[i])
+            words[(*count)++] = i;
+        next[i] |= b;
+    }
+    return b;
+}
+
+/* reverse search from the sink over the residual network of f, level by
+   level, until the left wanted in-nodes are all reached or nothing more
+   is */
+static void search(const struct graph *g, const struct search *s, struct flow f,
+                   int32_t left)
+{
+    word *seen_in = s->seen_in, *seen_out = s->seen_out;
+    word *next_in = s->next_in, *next_out = s->next_out;
+    const word *want = s->want;
+    int32_t *in_words = s->in_words, *out_words = s->out_words, *ptr = s->ptr;
+    int32_t nw = g->nw, n_in, n_out = 0;
+    memset(seen_in, 0, 4 * (size_t)nw * sizeof(word)); /* and the frontiers */
+    for (int32_t i = 0; i < nw; i++)
+        if ((seen_out[i] = next_out[i] = f.free[i]))
+            out_words[n_out++] = i;
+    while (left && n_out) {
+        /* in(v) <- out(v) off every path, in(succ[v]) <- out(v) on one */
+        n_in = 0;
+        for (int32_t k = 0; k < n_out; k++) {
+            int32_t i = out_words[k];
+            word x = next_out[i];
+            next_out[i] = 0;
+            word b = reach(seen_in, next_in, in_words, &n_in, i, x & ~f.on[i]);
+            left -= __builtin_popcountll(b & want[i]);
+            for (word y = x & f.on[i]; y; y &= y - 1) {
+                int32_t w = f.succ[64 * i + __builtin_ctzll(y)];
+                if (w >= 0) {
+                    b = reach(seen_in, next_in, in_words, &n_in, w >> 6, BIT(w));
+                    left -= __builtin_popcountll(b & want[w >> 6]);
                 }
-                return 1;
             }
-            queue[tail++] = v;
+        }
+        if (!left)
+            return;
+        /* out(v) <- in(v) on a path, out(u) <- in(v) for each arc u -> v */
+        n_out = 0;
+        for (int32_t k = 0; k < n_in; k++) {
+            int32_t i = in_words[k];
+            word x = next_in[i];
+            next_in[i] = 0;
+            for (; x; x &= x - 1) {
+                int32_t v = 64 * i + __builtin_ctzll(x);
+                if (HAS(f.on, v) && reach(seen_out, next_out, out_words, &n_out, i, BIT(v)))
+                    ptr[v] = v;
+                for (int32_t r = g->row[v]; r < g->row[v + 1]; r++) {
+                    int32_t j = g->row_word[r];
+                    word b = reach(seen_out, next_out, out_words, &n_out, j, g->row_bits[r]);
+                    for (; b; b &= b - 1)
+                        ptr[64 * j + __builtin_ctzll(b)] = v;
+                }
+            }
         }
     }
-    return 0;
+}
+
+/* push one unit from the source into in(e) and along the search's
+   pointers to the sink (in(e) must have been reached) */
+static void walk(struct flow f, const int32_t *ptr, int32_t e)
+{
+    int32_t from = -1, w = e;
+    for (;;) {
+        /* at in(w), entered from out(from) or the source */
+        int32_t v = w;
+        if (HAS(f.on, w))
+            v = f.pred[w]; /* undo the flow v -> w */
+        else
+            f.on[w >> 6] |= BIT(w);
+        f.pred[w] = from;
+        /* at out(v), which needs a new successor */
+        for (;;) {
+            if (HAS(f.free, v)) {
+                f.free[v >> 6] &= ~BIT(v);
+                f.succ[v] = -1;
+                return;
+            }
+            int32_t u = ptr[v];
+            if (u != v) {
+                f.succ[v] = u;
+                from = v;
+                w = u;
+                break;
+            }
+            /* back through v's internal arc: v leaves its path, and the
+               vertex before it needs a new successor */
+            f.on[v >> 6] &= ~BIT(v);
+            u = f.pred[v];
+            f.pred[v] = f.succ[v] = -1;
+            v = u;
+        }
+    }
 }
 
 /* grow the linked sets depth first from the empty set (_grow_linked) */
-static int grow(const struct network *net, int32_t n, const int32_t *in_node,
-                int32_t rank, const uint8_t *expected, uint8_t *indep,
-                int64_t *stats)
+static int grow(const struct graph *g, struct search *s, const void *empty,
+                int32_t n, const int32_t *ground, int32_t rank,
+                const uint8_t *expected, uint8_t *indep, int64_t *stats)
 {
-    /* locals, not fields: a byte store may alias a field, not a local */
-    const int32_t n_caps = net->n_caps, n_nodes = net->n_nodes, snk = net->snk;
-    const int32_t *heads = net->heads, *adj_start = net->adj_start, *adj = net->adj;
+    size_t bytes = flow_bytes(g);
     /* a searched set pushes at most n - 1 children, one level deeper */
     size_t room = (size_t)(rank + 1) * (size_t)(n + 1);
     uint32_t *masks = malloc(room * sizeof *masks);
     uint32_t *cands = malloc(room * sizeof *cands);
     int32_t *sizes = malloc(room * sizeof *sizes);
-    uint8_t *flows = malloc(room * (size_t)n_caps);
-    uint8_t *caps = malloc((size_t)n_caps);
-    int32_t *toward = malloc((size_t)n_nodes * sizeof *toward);
-    int32_t *queue = malloc((size_t)n_nodes * sizeof *queue);
-    uint8_t *wanted = calloc((size_t)n_nodes, 1);
+    char *flows = malloc(room * bytes);
+    void *work = malloc(bytes);
     int64_t searches = 0;
     int status = LINKAGE_NO_MEMORY;
-    if (!masks || !cands || !sizes || !flows || !caps || !toward || !queue ||
-        !wanted)
+    if (!masks || !cands || !sizes || !flows || !work)
         goto done;
     status = LINKAGE_OK;
 
@@ -181,81 +246,50 @@ static int grow(const struct network *net, int32_t n, const int32_t *in_node,
     masks[0] = 0;
     sizes[0] = 0;
     cands[0] = (UINT32_C(1) << n) - 1;
-    memcpy(flows, net->base, (size_t)n_caps);
+    memcpy(flows, empty, bytes);
     while (top) {
         top--;
         searches++;
         uint32_t parent = masks[top], cand = cands[top];
         int32_t size = sizes[top];
-        memcpy(caps, flows + top * (size_t)n_caps, (size_t)n_caps);
+        memcpy(work, flows + top * bytes, bytes);
 
-        /* reverse BFS from the sink over residual arcs, stopping once
-           every candidate's in-node is reached (sink_tree) */
-        int32_t left = 0;
-        for (int32_t e = 0; e < n; e++)
-            if (cand >> e & 1 && !wanted[in_node[e]]) {
-                wanted[in_node[e]] = 1;
-                left++;
-            }
-        memset(toward, 0xff, (size_t)n_nodes * sizeof *toward); /* all -1 */
-        toward[snk] = -2;
-        queue[0] = snk;
-        int32_t tail = 1;
-        for (int32_t head = 0; head < tail && left; head++) {
-            int32_t w = queue[head];
-            for (int32_t k = adj_start[w]; k < adj_start[w + 1]; k++) {
-                int32_t a = adj[k] ^ 1, v = heads[adj[k]];
-                if (caps[a] && toward[v] == -1) {
-                    toward[v] = a;
-                    if (wanted[v] && !--left)
-                        break;
-                    queue[tail++] = v;
-                }
-            }
+        for (uint32_t c = cand; c; c &= c - 1) {
+            int32_t v = ground[__builtin_ctz(c)];
+            s->want[v >> 6] |= BIT(v);
         }
-        uint32_t reached = 0;
-        for (int32_t e = 0; e < n; e++)
-            if (cand >> e & 1) {
-                wanted[in_node[e]] = 0;
-                if (toward[in_node[e]] != -1)
-                    reached |= UINT32_C(1) << e;
-            }
-        if (expected)
-            for (int32_t e = 0; e < n; e++)
-                if (cand >> e & 1 &&
-                    !expected[parent | UINT32_C(1) << e] != !(reached >> e & 1)) {
-                    stats[1] = parent | UINT32_C(1) << e;
-                    status = LINKAGE_MISMATCH;
-                    goto done;
-                }
+        search(g, s, flow_at(g, work), __builtin_popcount(cand));
+        uint32_t reached = 0, hits = 0;
+        for (uint32_t c = cand; c; c &= c - 1) {
+            int32_t e = __builtin_ctz(c), v = ground[e];
+            s->want[v >> 6] = 0;
+            reached |= (uint32_t)HAS(s->seen_in, v) << e;
+            if (expected)
+                hits |= (uint32_t)expected[parent | UINT32_C(1) << e] << e;
+        }
+        if (expected && hits != reached) {
+            uint32_t first = hits ^ reached;
+            stats[1] = parent | (first & -first);
+            status = LINKAGE_MISMATCH;
+            goto done;
+        }
 
-        int more = size + 1 < rank;
-        for (int32_t e = 0; e < n; e++) {
-            if (!(reached >> e & 1))
-                continue;
-            uint32_t child = parent | UINT32_C(1) << e;
-            uint32_t below = reached & ((UINT32_C(1) << e) - 1);
-            if (indep)
-                indep[child] = 1;
-            if (!more || !below)
-                continue;
+        if (indep)
+            for (uint32_t c = reached; c; c &= c - 1)
+                indep[parent | UINT32_C(1) << __builtin_ctz(c)] = 1;
+        if (size + 1 == rank)
+            continue;
+        for (uint32_t c = reached & (reached - 1); c; c &= c - 1) {
+            int32_t e = __builtin_ctz(c);
             if (top == room) {
                 status = LINKAGE_BAD_INPUT;
                 goto done;
             }
-            uint8_t *flow = flows + top * (size_t)n_caps;
-            memcpy(flow, caps, (size_t)n_caps);
-            flow[in_node[e] ^ 1] = 1; /* a unit now enters e from the source:
-                                         the source arc of in-node 2i is arc 2i */
-            for (int32_t v = in_node[e]; v != snk;) {
-                int32_t a = toward[v];
-                flow[a]--;
-                flow[a ^ 1]++;
-                v = heads[a];
-            }
-            masks[top] = child;
+            memcpy(flows + top * bytes, work, bytes);
+            walk(flow_at(g, flows + top * bytes), s->ptr, ground[e]);
+            masks[top] = parent | UINT32_C(1) << e;
             sizes[top] = size + 1;
-            cands[top] = below;
+            cands[top] = reached & ((UINT32_C(1) << e) - 1);
             top++;
         }
     }
@@ -266,11 +300,51 @@ done:
     free(cands);
     free(sizes);
     free(flows);
-    free(caps);
-    free(toward);
-    free(queue);
-    free(wanted);
+    free(work);
     return status;
+}
+
+/* the in-neighbour rows of the arcs, without self-loops or repeats */
+static int build_rows(struct graph *g, int32_t n_arcs, const int32_t *arcs)
+{
+    int32_t nv = g->nv;
+    int32_t *start = calloc((size_t)nv + 1, sizeof *start);
+    int32_t *tails = malloc(((size_t)n_arcs + 1) * sizeof *tails);
+    word *bits = calloc((size_t)g->nw + 1, sizeof *bits);
+    g->row = malloc(((size_t)nv + 1) * sizeof *g->row);
+    g->row_word = malloc(((size_t)n_arcs + 1) * sizeof *g->row_word);
+    g->row_bits = malloc(((size_t)n_arcs + 1) * sizeof *g->row_bits);
+    int ok = start && tails && bits && g->row && g->row_word && g->row_bits;
+    if (ok) {
+        /* the tails grouped by head, then merged word by word */
+        for (int32_t j = 0; j < n_arcs; j++)
+            if (arcs[2 * j] != arcs[2 * j + 1])
+                start[arcs[2 * j + 1]]++;
+        for (int32_t v = 1; v <= nv; v++)
+            start[v] += start[v - 1];
+        for (int32_t j = 0; j < n_arcs; j++)
+            if (arcs[2 * j] != arcs[2 * j + 1])
+                tails[--start[arcs[2 * j + 1]]] = arcs[2 * j];
+        int32_t r = 0;
+        for (int32_t v = 0; v < nv; v++) {
+            g->row[v] = r;
+            for (int32_t k = start[v]; k < start[v + 1]; k++) {
+                int32_t u = tails[k];
+                if (!bits[u >> 6])
+                    g->row_word[r++] = u >> 6;
+                bits[u >> 6] |= BIT(u);
+            }
+            for (int32_t q = g->row[v]; q < r; q++) {
+                g->row_bits[q] = bits[g->row_word[q]];
+                bits[g->row_word[q]] = 0;
+            }
+        }
+        g->row[nv] = r;
+    }
+    free(start);
+    free(tails);
+    free(bits);
+    return ok;
 }
 
 int linkage_independence(int32_t n_vertices, int32_t n_arcs, const int32_t *arcs,
@@ -287,55 +361,66 @@ int linkage_independence(int32_t n_vertices, int32_t n_arcs, const int32_t *arcs
         if (arcs[j] < 0 || arcs[j] >= n_vertices)
             return LINKAGE_BAD_INPUT;
 
-    struct network net = {0};
-    int32_t *element = malloc(((size_t)n_vertices + 1) * sizeof *element);
-    uint8_t *is_target = calloc((size_t)n_vertices + 1, 1);
-    int32_t *in_node = malloc(((size_t)n + 1) * sizeof *in_node);
-    uint8_t *caps = NULL;
-    int32_t *prev = NULL, *queue = NULL;
+    int32_t nv = n_vertices, nw = (nv + 63) / 64;
+    struct graph g = {nv, nw, NULL, NULL, NULL};
+    struct search s = {0};
+    int32_t *element = malloc(((size_t)nv + 1) * sizeof *element);
+    word *sets = calloc(5 * (size_t)nw + 1, sizeof *sets);
+    int32_t *ints = malloc((2 * (size_t)nw + nv + 1) * sizeof *ints);
+    void *empty = malloc(flow_bytes(&g) + 1);
+    void *routed_flow = malloc(flow_bytes(&g) + 1);
     int status = LINKAGE_NO_MEMORY;
-    if (!element || !is_target || !in_node)
+    if (!element || !sets || !ints || !empty || !routed_flow)
         goto done;
+    s.seen_in = sets; /* seen_in .. next_out are cleared as one block */
+    s.seen_out = sets + nw;
+    s.next_in = sets + 2 * nw;
+    s.next_out = sets + 3 * nw;
+    s.want = sets + 4 * nw;
+    s.in_words = ints;
+    s.out_words = ints + nw;
+    s.ptr = ints + 2 * nw;
 
     /* element[v]: the ground element at vertex v, or -1 */
+    struct flow f = flow_at(&g, empty);
+    memset(empty, 0, flow_bytes(&g));
+    memset(f.succ, 0xff, 2 * (size_t)nv * sizeof *f.succ); /* succ, pred: -1 */
     status = LINKAGE_BAD_INPUT;
-    for (int32_t v = 0; v < n_vertices; v++)
+    for (int32_t v = 0; v < nv; v++)
         element[v] = -1;
     for (int32_t e = 0; e < n; e++) {
-        if (ground[e] < 0 || ground[e] >= n_vertices || element[ground[e]] != -1)
+        if (ground[e] < 0 || ground[e] >= nv || element[ground[e]] != -1)
             goto done;
         element[ground[e]] = e;
-        in_node[e] = 2 * ground[e];
     }
     for (int32_t t = 0; t < n_targets; t++) {
-        if (targets[t] < 0 || targets[t] >= n_vertices || is_target[targets[t]])
+        if (targets[t] < 0 || targets[t] >= nv || HAS(f.free, targets[t]))
             goto done;
-        is_target[targets[t]] = 1;
+        f.free[targets[t] >> 6] |= BIT(targets[t]);
     }
 
     status = LINKAGE_NO_MEMORY;
-    if (!build_network(&net, n_vertices, n_arcs, arcs, is_target, n_targets))
-        goto done;
-    caps = malloc((size_t)net.n_caps);
-    prev = malloc((size_t)net.n_nodes * sizeof *prev);
-    queue = malloc((size_t)net.n_nodes * sizeof *queue);
-    if (!caps || !prev || !queue)
+    if (!build_rows(&g, n_arcs, arcs))
         goto done;
 
-    /* route the rank: open the ground's sources (arc 2i for vertex i) in
-       vertex order, augmenting after each; the saturated ones form a
-       maximum linked set R */
-    memcpy(caps, net.base, (size_t)net.n_caps);
+    /* route the rank: each ground vertex in vertex order takes a path if
+       its in-node reaches the sink; the routed ones form a maximum linked
+       set R */
+    memcpy(routed_flow, empty, flow_bytes(&g));
+    f = flow_at(&g, routed_flow);
     int32_t rank = 0;
     uint32_t routed = 0;
-    for (int32_t v = 0; v < n_vertices; v++)
+    for (int32_t v = 0; v < nv; v++)
         if (element[v] != -1) {
-            caps[2 * v] = 1;
-            rank += augment(&net, caps, prev, queue);
+            s.want[v >> 6] = BIT(v);
+            search(&g, &s, f, 1);
+            s.want[v >> 6] = 0;
+            if (HAS(s.seen_in, v)) {
+                walk(f, s.ptr, v);
+                routed |= UINT32_C(1) << element[v];
+                rank++;
+            }
         }
-    for (int32_t e = 0; e < n; e++)
-        if (caps[in_node[e] ^ 1])
-            routed |= UINT32_C(1) << e;
 
     status = LINKAGE_MISMATCH;
     if (expected) {
@@ -350,15 +435,17 @@ int linkage_independence(int32_t n_vertices, int32_t n_arcs, const int32_t *arcs
                 goto done;
             }
     }
-    status = rank ? grow(&net, n, in_node, rank, expected, indep, stats) : LINKAGE_OK;
+    status = rank ? grow(&g, &s, empty, n, ground, rank, expected, indep, stats)
+                  : LINKAGE_OK;
 
 done:
-    free_network(&net);
+    free(g.row);
+    free(g.row_word);
+    free(g.row_bits);
     free(element);
-    free(is_target);
-    free(in_node);
-    free(caps);
-    free(prev);
-    free(queue);
+    free(sets);
+    free(ints);
+    free(empty);
+    free(routed_flow);
     return status;
 }

@@ -20,15 +20,18 @@ a copy plus a walk along that path.
 That enumeration runs in a small C kernel, ``_linkage.c`` beside this
 file, called through ``ctypes`` once per enumeration. It receives the
 query itself as int32 arrays (vertex count, arc tails and heads, ground
-and target indices), builds the network and routes the rank. Given the
-independent sets of a matroid instead of an array to fill, it compares
-the linked sets with them and stops at the first difference, so a
-record that does not present its minor costs at most one search per
-independent set of the minor (:func:`_linkage_independence`). Importing this
-module compiles the kernel with the interpreter's C compiler into the
-per-user cache (``$XDG_CACHE_HOME/gammoids``, else ``~/.cache/gammoids``),
-under a name hashed from the source, the compiler command and the
-interpreter's extension suffix, so only a cold cache compiles. Without a
+and target indices). It builds no split network: a flow is each
+vertex's successor and predecessor on its path plus two vertex bitsets,
+and the reverse search reads the residual arcs off that state, level by
+level over 64-vertex words. Given the independent sets of a matroid
+instead of an array to fill, it compares the linked sets with them and
+stops at the first difference, so a record that does not present its
+minor costs at most one search per independent set of the minor
+(:func:`_linkage_independence`). Importing this module compiles the
+kernel with the interpreter's C compiler into the per-user cache
+(``$XDG_CACHE_HOME/gammoids``, else ``~/.cache/gammoids``), under a name
+hashed from the source, the compiler command and the interpreter's
+extension suffix, so only a cold cache compiles. Without a
 compiler, or if any step fails, the same enumeration runs in Python
 (``_grow_linked``), which is also the kernel's test reference.
 :data:`ENGINE` records which one is live.
@@ -93,9 +96,14 @@ def _load_kernel():
             finally:
                 if os.path.exists(partial):
                     os.remove(partial)
-        kernel = ctypes.CDLL(str(library)).linkage_independence
+        return _bind(library)
     except (OSError, ValueError, RuntimeError, AttributeError, subprocess.SubprocessError):
         return None
+
+
+def _bind(library: Path):
+    """Load a compiled ``_linkage.c`` and declare its entry point's signature."""
+    kernel = ctypes.CDLL(str(library)).linkage_independence
     count, array = ctypes.c_int32, ctypes.c_void_p
     kernel.argtypes = [count, count, array, count, array, count] + [array] * 4
     kernel.restype = ctypes.c_int
@@ -247,8 +255,9 @@ class Presentation:
 class _FlowNetwork:
     """Unit-vertex-capacity flow network for one (graph, targets) pair.
 
-    It serves :func:`max_linking` and the Python engine; the C kernel
-    builds the same network itself.
+    It serves :func:`max_linking` and the Python engine. The C kernel
+    builds no such network: it searches the same residual arcs from a
+    per-vertex record of the flow.
 
     Node numbering: vertex i splits into in-node 2i and out-node 2i+1;
     the super-source and super-sink sit at 2n and 2n+1. Arc k and its
@@ -440,7 +449,12 @@ def _linkage_independence(
     expected set.
 
     The growing runs in the C kernel when it is loaded, else in
-    :func:`_grow_linked`; both follow the steps above in the same order.
+    :func:`_grow_linked`. Both route the rank greedily in vertex order,
+    keep the same stack and candidate order, and stop a search once
+    every candidate is reached. They may route a set along different
+    augmenting paths, but which sets a search reaches, and so which set
+    is routed, depends only on the linked family, so the two return the
+    same sets, the same number of searches and the same first difference.
     """
     indep = None
     if expected is None:
@@ -524,7 +538,7 @@ def _grow_linked_c(
     expected: np.ndarray | None,
     indep: np.ndarray | None,
 ) -> tuple[int, int]:
-    """:func:`_grow_linked` through the C kernel, which builds the network itself."""
+    """:func:`_grow_linked` through the C kernel, which takes the graph as index arrays."""
     idx = graph.index
     n = len(ground)
     for table in (expected, indep):

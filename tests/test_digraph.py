@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
+from itertools import chain, islice
 from math import comb
 from pathlib import Path
 
@@ -375,6 +377,70 @@ class TestEarlyStopPythonEngine(TestEarlyStop):
     pass
 
 
+MULTIWORD_SIZES = (63, 64, 65, 127, 128, 129, 200, 300)
+
+
+def multiword_cases():
+    """Presentations that span several 64-vertex words of the kernel's bitsets.
+
+    Targets sit at indices 0, 1, 62 and 63 modulo 64, on both sides of each
+    word boundary; arcs join vertices anywhere, so paths cross words.
+    """
+    rng = random.Random(0x3264)
+    for n_vertices in MULTIWORD_SIZES:
+        for n, degree in ((1, 3), (rng.randint(2, 9), 2), (10, 1), (10, 2)):
+            vertices = [f"v{i}" for i in range(n_vertices)]
+            arcs = {
+                (u, v) for u in vertices for v in rng.sample(vertices, degree) if u != v
+            }
+            targets = [v for i, v in enumerate(vertices) if i % 64 in (0, 1, 62, 63)]
+            yield Presentation(Digraph(vertices, arcs), rng.sample(vertices, n), targets)
+
+
+def engines_agree(kernel, cases) -> int:
+    """Assert that ``kernel`` and the Python engine agree in both modes.
+
+    For each presentation: the linked sets, then ``(equal, searches,
+    differs_at)`` against the linked sets with one set flipped. Returns the
+    number of cases.
+    """
+    rng = random.Random(0xF11B)
+    saved = digraph._KERNEL
+    count = 0
+    try:
+        for p in cases:
+            args = (p.graph, p.ground, p.targets)
+            digraph._KERNEL = None
+            python = digraph._linkage_independence(*args)
+            flipped = python.copy()
+            flipped[rng.randrange(1, len(flipped))] ^= True
+            compared = digraph._linkage_independence(*args, flipped)
+            digraph._KERNEL = kernel
+            assert np.array_equal(digraph._linkage_independence(*args), python), p
+            assert digraph._linkage_independence(*args, flipped) == compared, p
+            count += 1
+    finally:
+        digraph._KERNEL = saved
+    return count
+
+
+def call_kernel(n_vertices, arcs, ground, targets, expected=None):
+    """Call the kernel directly: its status, linked-set array and stats."""
+    arcs = np.array(arcs, dtype=np.int32).reshape(-1)
+    ends = np.array(list(ground) + list(targets), dtype=np.int32)
+    indep = np.zeros(1 << len(ground), dtype=np.uint8)
+    indep[0] = 1
+    stats = np.zeros(2, dtype=np.int64)
+    status = digraph._KERNEL(
+        n_vertices, len(arcs) // 2, arcs.ctypes.data,
+        len(ground), ends.ctypes.data, len(targets), ends[len(ground):].ctypes.data,
+        None if expected is None else expected.ctypes.data,
+        None if expected is not None else indep.ctypes.data,
+        stats.ctypes.data,
+    )
+    return status, indep.tolist(), stats.tolist()
+
+
 @requires_kernel
 class TestKernel:
     """The C kernel marks exactly the sets the Python enumeration marks."""
@@ -459,6 +525,39 @@ class TestKernel:
                     stopped += 1
         assert stopped > 20
 
+    def test_multiword_presentations(self):
+        assert engines_agree(digraph._KERNEL, multiword_cases()) == 4 * len(MULTIWORD_SIZES)
+
+    def test_self_loops_and_repeated_arcs_change_nothing(self):
+        rng = random.Random(0x5E1F)
+        cases = chain(
+            (random_presentation(rng, max_vertices=10) for _ in range(100)),
+            islice(multiword_cases(), 0, None, 4),
+        )
+        for p in cases:
+            idx = p.graph.index
+            arcs = [(idx[u], idx[v]) for u, v in p.graph.arcs]
+            repeats = rng.choices(arcs, k=len(arcs)) if arcs else []
+            loops = [(v, v) for v in rng.sample(range(len(idx)), min(5, len(idx)))]
+            hostile = arcs + repeats + loops
+            rng.shuffle(hostile)
+            ground = [idx[g] for g in p.ground]
+            targets = [idx[t] for t in p.targets]
+            clean = call_kernel(len(idx), arcs, ground, targets)
+            assert call_kernel(len(idx), hostile, ground, targets) == clean, p
+            flipped = np.array(clean[1], dtype=np.uint8)
+            flipped[rng.randrange(1, len(flipped))] ^= 1
+            assert call_kernel(len(idx), hostile, ground, targets, flipped) == call_kernel(
+                len(idx), arcs, ground, targets, flipped
+            ), p
+
+    def test_largest_vertex_count_allocates_no_square_table(self):
+        # a table of (1 << 20) ** 2 bits would take about 137 GB
+        start = time.monotonic()
+        assert call_kernel(1 << 20, [(0, 1)], [0], [1]) == (0, [1, 1], [1, -1])
+        assert time.monotonic() - start < 5
+        assert call_kernel((1 << 20) + 1, [(0, 1)], [0], [1])[0] == 2
+
 
 # a fresh interpreter imports the package with a given C compiler and
 # cache directory, and prints its engine and a few linkage tables
@@ -488,6 +587,27 @@ def import_in_fresh_interpreter(cache: Path, cc: str = "") -> tuple[str, list]:
     return engine
 
 
+# a fresh interpreter loads a kernel built with the undefined-behaviour
+# sanitizer in place of the live one and runs the differential cases, so
+# that the sanitizer's abort fails the test instead of ending pytest
+UBSAN_SCRIPT = """
+import random, sys
+from itertools import chain
+from pathlib import Path
+sys.path.insert(0, sys.argv[2])
+from gammoids import digraph
+from gammoids.corpus import random_presentation
+from test_digraph import engines_agree, multiword_cases
+try:
+    kernel = digraph._bind(Path(sys.argv[1]))
+except OSError as exc:
+    sys.exit(f"unloadable: {exc}")
+rng = random.Random(0x0B5A)
+small = [random_presentation(rng, max_vertices=10) for _ in range(200)]
+print(engines_agree(kernel, chain(multiword_cases(), small)))
+"""
+
+
 class TestKernelBuild:
     def test_missing_compiler_falls_back_to_python(self, tmp_path):
         assert import_in_fresh_interpreter(tmp_path, "/nonexistent/bin/cc") == "python"
@@ -511,6 +631,29 @@ class TestKernelBuild:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_kernel_runs_clean_under_the_sanitizer(self, tmp_path):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "")
+        if not cc or shutil.which(cc[0]) is None:
+            pytest.skip("no C compiler")
+        source = Path(digraph.__file__).with_name("_linkage.c")
+        library = tmp_path / "linkage-ubsan.so"
+        flags = ["-fsanitize=undefined", "-fno-sanitize-recover=all", "-O1", "-shared", "-fPIC"]
+        built = subprocess.run(
+            cc + flags + ["-o", str(library), str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        if built.returncode:
+            pytest.skip(f"the sanitizer does not build here: {built.stderr[-300:]}")
+        env = dict(os.environ, PYTHONPATH=str(Path(digraph.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", UBSAN_SCRIPT, str(library), str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        if done.stderr.startswith("unloadable"):
+            pytest.skip(f"the sanitized kernel does not load: {done.stderr[:300]}")
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert int(done.stdout) == 4 * len(MULTIWORD_SIZES) + 200
 
     @requires_kernel
     def test_cold_cache_compiles_once(self, tmp_path):
