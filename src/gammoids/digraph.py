@@ -6,9 +6,9 @@ lying in both X and T may serve as its own single-vertex path. Linkings
 are computed by max-flow on the vertex-split network: each vertex becomes
 an in/out pair joined by a unit-capacity internal arc, graph arcs get
 capacity 1 (the unit vertex capacities bound their flow anyway), and a
-super-source/super-sink attach outside the splitting. Augmenting paths
-are found by BFS scanning vertices in index order, so every result is
-deterministic.
+super-source/super-sink attach outside the splitting. Sources are routed
+one at a time in index order, each by one reverse BFS from the sink that
+scans arcs in a fixed order, so every result is deterministic.
 
 A linkage matroid is materialized by growing linked sets one element at
 a time. One reverse BFS from the sink over the residual network of a
@@ -255,9 +255,10 @@ class Presentation:
 class _FlowNetwork:
     """Unit-vertex-capacity flow network for one (graph, targets) pair.
 
-    It serves :func:`max_linking` and the Python engine. The C kernel
-    builds no such network: it searches the same residual arcs from a
-    per-vertex record of the flow.
+    It serves :func:`max_linking` (so :func:`is_linked`) and the Python
+    engine, with one search, :meth:`sink_tree`, and one walk,
+    :meth:`push`. The C kernel builds no such network: it searches the
+    same residual arcs from a per-vertex record of the flow.
 
     Node numbering: vertex i splits into in-node 2i and out-node 2i+1;
     the super-source and super-sink sit at 2n and 2n+1. Arc k and its
@@ -285,7 +286,8 @@ class _FlowNetwork:
             adj[v].append(a + 1)
             return a
 
-        # source arcs for every vertex, disabled until a query opens them
+        # source arcs for every vertex, never opened: a pushed unit only
+        # sets the residual twin, so no search reaches the source
         self.src_arc = [add(self.src, 2 * i, 0) for i in range(n)]
         for i in range(n):
             add(2 * i, 2 * i + 1, 1)
@@ -305,31 +307,6 @@ class _FlowNetwork:
 
     def fresh(self) -> bytearray:
         return bytearray(self.base)
-
-    def augment(self, caps: bytearray) -> bool:
-        """Push one unit along a BFS-shortest residual path if any exists."""
-        heads = self.heads
-        adj = self.adj
-        src = self.src
-        snk = self.snk
-        prev = [-1] * self.n_nodes
-        prev[src] = -2
-        queue = [src]
-        for u in queue:  # the list grows while it is walked: a FIFO queue
-            for a in adj[u]:
-                if caps[a]:
-                    v = heads[a]
-                    if prev[v] == -1:
-                        prev[v] = a
-                        if v == snk:
-                            while v != src:
-                                a = prev[v]
-                                caps[a] -= 1
-                                caps[a ^ 1] += 1
-                                v = heads[a ^ 1]
-                            return True
-                        queue.append(v)
-        return False
 
     def sink_tree(self, caps: bytearray, wanted: set[int]) -> list[int]:
         """Reverse BFS from the sink over residual arcs.
@@ -354,12 +331,35 @@ class _FlowNetwork:
                     queue.append(v)
         return toward
 
+    def push(self, caps: bytearray, toward: list[int], i: int) -> None:
+        """Send one unit from the source into vertex i and on to the sink.
+
+        The unit follows ``toward``, a :meth:`sink_tree` that reached the
+        in-node of vertex i. Only the residual twin of i's source arc is
+        set, so no search ever reaches the source.
+        """
+        heads = self.heads
+        caps[self.src_arc[i] ^ 1] = 1
+        v = 2 * i
+        while v != self.snk:
+            a = toward[v]
+            caps[a] -= 1
+            caps[a ^ 1] += 1
+            v = heads[a]
+
     def route(self, caps: bytearray, source_indices: Iterable[int]) -> int:
-        """Open the given sources in index order, augmenting after each."""
+        """Route the given sources in index order; return how many were routed.
+
+        Each source gets one reverse search from the sink and, if its
+        in-node is reached, a push along that search's tree. Routing a
+        source never unroutes another, so the routed sources are the
+        greedy basis in index order.
+        """
         pushed = 0
         for i in sorted(source_indices):
-            caps[self.src_arc[i]] = 1
-            if self.augment(caps):
+            toward = self.sink_tree(caps, {2 * i})
+            if toward[2 * i] != -1:
+                self.push(caps, toward, i)
                 pushed += 1
         return pushed
 
@@ -482,16 +482,14 @@ def _grow_linked(
     """
     net = _FlowNetwork(graph, targets)
     idx = graph.index
-    heads = net.heads
-    snk = net.snk
     n = len(ground)
-    in_node = [2 * idx[g] for g in ground]
-    source_arc = [net.src_arc[idx[g]] for g in ground]
+    vertex = [idx[g] for g in ground]
+    in_node = [2 * v for v in vertex]
     routed = net.fresh()
-    rank = net.route(routed, [idx[g] for g in ground])
+    rank = net.route(routed, vertex)
     if expected is not None:
         expected = expected.tobytes()  # bytes index to ints, fast in a loop
-        basis = sum(1 << e for e in range(n) if routed[source_arc[e] ^ 1])
+        basis = sum(1 << e for e in range(n) if routed[net.src_arc[vertex[e]] ^ 1])
         if not expected[basis]:
             return 0, basis
         for e in range(n):
@@ -518,13 +516,7 @@ def _grow_linked(
             linked.append(child)
             if grow and i:
                 flow = bytearray(caps)
-                flow[source_arc[e] ^ 1] = 1  # a unit now enters e from the source
-                v = in_node[e]
-                while v != snk:
-                    a = toward[v]
-                    flow[a] -= 1
-                    flow[a ^ 1] += 1
-                    v = heads[a]
+                net.push(flow, toward, vertex[e])
                 stack.append((child, size + 1, reached[:i], flow))
     if indep is not None:
         indep[linked] = True
@@ -652,38 +644,33 @@ def kuhn_matching(
     return owner
 
 
-def _matchable(element_bits: Sequence[int], part_masks: Sequence[int]) -> bool:
-    """Can the elements be matched into distinct parts that contain them?"""
-    return (
-        kuhn_matching(element_bits, len(part_masks), lambda p, e: part_masks[p] >> e & 1)
-        is not None
-    )
+def dual_transversal_parts(graph: Digraph, targets: Iterable[str]) -> list[frozenset[str]]:
+    """The transversal system dual to the strict gammoid on ``targets``.
+
+    One part per vertex outside the targets, in vertex order: the vertex
+    and its out-neighbors (Ingleton-Piff duality).
+    """
+    tset = set(targets)
+    return [
+        frozenset((v,) + graph.out_neighbors(v)) for v in graph.vertices if v not in tset
+    ]
 
 
 def transversal_duality_check(presentation: Presentation) -> bool:
     """Cross-check a strict presentation against transversal-matroid duality.
 
-    Reads the bipartite system off the presentation (one part per vertex
-    outside the targets, containing the vertex and its out-neighbors),
-    builds its transversal matroid by a matching oracle, dualizes it, and
-    compares against the linkage matroid. Used purely as a test oracle.
+    Builds the transversal matroid of :func:`dual_transversal_parts` by a
+    matching oracle, dualizes it, and compares against the linkage
+    matroid. Used purely as a test oracle.
     """
     if set(presentation.ground) != set(presentation.graph.vertices):
         raise NotStrict("duality check requires ground = all vertices")
-    gidx = {g: i for i, g in enumerate(presentation.ground)}
-    tset = set(presentation.targets)
-    graph = presentation.graph
-    part_masks = []
-    for v in graph.vertices:
-        if v not in tset:
-            mask = 1 << gidx[v]
-            for w in graph.out_neighbors(v):
-                mask |= 1 << gidx[w]
-            part_masks.append(mask)
+    ground = presentation.ground
+    parts = dual_transversal_parts(presentation.graph, presentation.targets)
 
     def oracle(mask: int) -> bool:
-        bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
-        return _matchable(bits, part_masks)
+        elements = [g for b, g in enumerate(ground) if mask >> b & 1]
+        return kuhn_matching(elements, len(parts), lambda k, e: e in parts[k]) is not None
 
     transversal = Matroid.from_independence_oracle(presentation.ground, oracle)
     return transversal.dual().equals(presentation.matroid)

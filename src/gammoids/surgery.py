@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, Presentation, is_linked, kuhn_matching, max_linking
+from .digraph import Digraph, Presentation, dual_transversal_parts, is_linked, kuhn_matching
 from .errors import (
     GroundSetTooLarge,
     IsLoop,
@@ -54,16 +54,6 @@ def delete_element(p: Presentation, x: str) -> Presentation:
     return p.with_ground(tuple(g for g in p.ground if g != x))
 
 
-def _match_into_parts(
-    elements: list[str], part_owners: list[str], part_sets: list[frozenset[str]]
-) -> dict[str, str] | None:
-    """Match each element to a distinct part containing it (Kuhn search)."""
-    owner_of_part = kuhn_matching(elements, len(part_sets), lambda k, e: e in part_sets[k])
-    if owner_of_part is None:
-        return None
-    return {e: part_owners[k] for k, e in enumerate(owner_of_part) if e is not None}
-
-
 def retarget(p: Presentation, basis) -> Presentation:
     """Re-present the same matroid with the given basis as the target set.
 
@@ -85,9 +75,10 @@ def retarget(p: Presentation, basis) -> Presentation:
     idx = graph.index
     targets = p.targets
 
-    # extend to a basis of the strict lift, in vertex order; the ground
-    # set is already spanned by the basis, so extensions stay outside it
-    lift_rank = max_linking(graph, verts, targets).size
+    # extend to a basis of the strict lift, in vertex order; its rank is
+    # |T| (each target is its own one-vertex path), and the ground set is
+    # already spanned by the basis, so extensions stay outside it
+    lift_rank = len(targets)
     t_prime = sorted(bset, key=idx.__getitem__)
     for v in verts:
         if len(t_prime) == lift_rank:
@@ -98,22 +89,14 @@ def retarget(p: Presentation, basis) -> Presentation:
         raise RetargetFailed("could not extend the basis through the strict lift")
     tp = set(t_prime)
 
-    # the lift's dual is the transversal system with one part per vertex
-    # outside the current targets: the vertex plus its out-neighbors
-    t0 = set(targets)
-    part_owners = [v for v in verts if v not in t0]
-    part_sets = [frozenset((v,) + graph.out_neighbors(v)) for v in part_owners]
+    # the lift's dual is a transversal system; each vertex outside the new
+    # targets takes arcs to the rest of the part it is matched into
+    parts = dual_transversal_parts(graph, targets)
     tails = [v for v in verts if v not in tp]
-    assignment = _match_into_parts(tails, part_owners, part_sets)
-    if assignment is None or len(assignment) != len(tails):
+    owners = kuhn_matching(tails, len(parts), lambda k, e: e in parts[k])
+    if owners is None:
         raise RetargetFailed("dual transversal system admitted no full matching")
-
-    owner_index = {v: k for k, v in enumerate(part_owners)}
-    arcs = []
-    for b in tails:
-        part = part_sets[owner_index[assignment[b]]]
-        for u in sorted(part - {b}, key=idx.__getitem__):
-            arcs.append((b, u))
+    arcs = [(b, u) for b, part in zip(owners, parts) if b is not None for u in part - {b}]
     rebuilt = Digraph(verts, arcs)
     for t in t_prime:
         if t not in bset:

@@ -317,6 +317,30 @@ def test_jobs_keep_golden_bytes(runner, monkeypatch, request, doc, sha256, engin
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == sha256
 
 
+@requires_kernel
+@pytest.mark.parametrize(
+    "doc, sha256",
+    [
+        (U24_DOC, GOLDEN_SHA256["u24"]),
+        (RANK3_DOC, GOLDEN_SHA256["rank3-gammoid"]),
+        (RANK4_DOC, RANK4_SHA256),
+    ],
+    ids=["u24", "rank3-gammoid", "rank4"],
+)
+def test_kernel_build_runs_no_python_max_flow(runner, monkeypatch, doc, sha256):
+    """retarget knows the strict lift's rank, |T|, without routing it."""
+
+    def refuse(*args):
+        raise AssertionError("a Python flow network was built")
+
+    monkeypatch.setattr(digraph, "_FlowNetwork", refuse)
+    result = runner.invoke(main, ["build"], input=json.dumps(doc))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == sha256
+    check = runner.invoke(main, ["verify"], input=result.stdout)
+    assert check.exit_code == 0, check.output
+
+
 @pytest.mark.parametrize("command", ["build -i", "verify"])
 @pytest.mark.parametrize(
     "content, message",

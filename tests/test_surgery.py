@@ -7,7 +7,7 @@ import pytest
 from conftest import uniform
 from gammoids import digraph
 from gammoids.corpus import random_presentation
-from gammoids.digraph import Digraph, Presentation, _matchable
+from gammoids.digraph import Digraph, Presentation, brute_force_linking_oracle, kuhn_matching
 from gammoids.errors import (
     IsLoop,
     LabelCollision,
@@ -18,7 +18,6 @@ from gammoids.errors import (
 )
 from gammoids.matroid import Matroid
 from gammoids.surgery import (
-    _match_into_parts,
     add_coloop,
     contract_any,
     contract_target,
@@ -115,6 +114,48 @@ class TestRetarget:
             q = retarget(p, basis)
             assert set(q.targets) == set(basis)
             assert q.matroid.equals(m)
+
+
+def greedy_extension(p: Presentation, basis) -> list[str]:
+    """Extend ``basis`` in vertex order to |T| vertices linked to the targets.
+
+    Each vertex is tested by the brute-force linking oracle, which shares
+    no code with the flow solver. Returns the added vertices in order.
+    """
+    graph = p.graph
+    chosen = sorted(basis, key=graph.index.__getitem__)
+    for v in graph.vertices:
+        if len(chosen) == len(p.targets):
+            break
+        if v in basis:
+            continue
+        if brute_force_linking_oracle(graph, chosen + [v], p.targets) > len(chosen):
+            chosen.append(v)
+    return chosen[len(basis):]
+
+
+class TestRetargetExtension:
+    """retarget drops exactly the basis's greedy extension through the strict lift."""
+
+    def test_dropped_vertices_are_the_greedy_extension(self):
+        rng = random.Random(67)
+        cases = extended = 0
+        while cases < 300:
+            p = random_presentation(rng, 8)
+            if set(p.targets) <= set(p.ground):
+                continue
+            m = p.matroid
+            for mask in m.basis_masks():
+                basis = m.labels_of(mask)
+                q = retarget(p, basis)
+                dropped = [v for v in p.graph.vertices if v not in q.graph.index]
+                extension = greedy_extension(p, basis)
+                assert dropped == extension, (p, basis)
+                assert set(q.targets) == set(basis)
+                assert q.presents(m)
+                cases += 1
+                extended += bool(extension)
+        assert extended > 0
 
 
 class TestContractAny:
@@ -307,16 +348,13 @@ class TestVerifyFlag:
 
 
 def test_matchings_leave_no_reference_cycle():
-    # b can only be matched by moving a from part p to part q: one
-    # augmenting path of two steps through each matcher
+    # b can only be matched by moving a from part 0 to part 1: one
+    # augmenting path of two steps
+    parts = [frozenset("ab"), frozenset("a")]
     gc.disable()
     try:
         gc.collect()
-        assert _match_into_parts(["a", "b"], ["p", "q"], [frozenset("ab"), frozenset("a")]) == {
-            "a": "q",
-            "b": "p",
-        }
-        assert _matchable([0, 1], [0b11, 0b01])
+        assert kuhn_matching(["a", "b"], 2, lambda k, e: e in parts[k]) == ["b", "a"]
         assert gc.collect() == 0
     finally:
         gc.enable()
