@@ -3,11 +3,11 @@
 A certificate has exactly the top-level keys ``claims``, ``ingleton``,
 ``minors``, ``recipe``, and ``notes``. It embeds the excluded minor as a
 basis family (rank tables are reconstructed on verify) and one gammoid
-presentation per element and side. Re-verification checks the excluded
-minor's axioms once, enumerates every recorded presentation's linked
-sets from scratch through the linkage engine, compares them with the
-independent sets of the minor the record stands for, and re-runs the
-Ingleton and recipe checks without re-running the construction.
+presentation per element and side. Re-verification checks the axioms of
+the excluded minor alone, enumerates every recorded presentation's
+linked sets from scratch through the linkage engine, compares them with
+the independent sets of the minor the record stands for, and re-runs
+the Ingleton and recipe checks without re-running the construction.
 
 Certificates are written by a small writer of their own that gives the
 bytes of ``json.dumps(doc, indent=2)``: the standard library uses its C

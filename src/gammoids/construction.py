@@ -11,13 +11,11 @@ nothing is taken on faith from the construction itself.
 
 This module is where identities are checked. The surgeries only check
 their inputs and build presentations. ``construct`` checks what they
-built through its claims and its recipe check, on tables whose axioms
-are checked as they are materialized. ``certify`` compares the linked
-sets of each recorded presentation with the independent sets of the
-table-level minor it stands for; that minor is already a matroid, so
-the record gets no table or axiom check of its own. Each check raises
-:class:`ClaimFailed` when it fails, so a :class:`Certificate` exists only
-when every check has held.
+built through its claims and its recipe check, and the rank axioms of
+its result alone, as linkage tables are matroids by theory. ``certify``
+compares each record's linked sets with the independent sets of the
+table-level minor it stands for. A failed check raises, so a
+:class:`Certificate` exists only when every check has held.
 """
 
 from __future__ import annotations
@@ -303,6 +301,7 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
             "the union of the blocks is not a circuit-hyperplane",
         )
     result = gadget.relax(relaxed_set)
+    result.verify_axioms()  # the one table build writes
 
     # with apex_contraction_restores_input, this puts the normalized input
     # in the result as a minor

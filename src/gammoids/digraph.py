@@ -560,7 +560,9 @@ def _grow_linked_c(
 
 
 def linkage_matroid(presentation: Presentation) -> Matroid:
-    """The matroid on the ground set whose independent sets are linked to T."""
+    """The matroid on the ground set whose independent sets are linked to T.
+
+    Gammoids are matroids (Perfect 1968; Mason 1972): no axiom check."""
     if len(presentation.ground) > MAX_GROUND:
         raise GroundSetTooLarge(
             f"{len(presentation.ground)} ground elements exceeds cap {MAX_GROUND}"
@@ -568,7 +570,7 @@ def linkage_matroid(presentation: Presentation) -> Matroid:
     indep = _linkage_independence(
         presentation.graph, presentation.ground, presentation.targets
     )
-    return Matroid.from_independence(presentation.ground, indep)
+    return Matroid._from_independent_sets(presentation.ground, indep)
 
 
 def brute_force_linking_oracle(

@@ -559,6 +559,29 @@ def test_internal_check_failure_is_a_failed_claim(runner, monkeypatch, command, 
     assert "claim failed: injected" in result.output
 
 
+@pytest.mark.parametrize("doc", [U24_DOC, RANK3_DOC], ids=["u24", "rank3-gammoid"])
+def test_relaxed_table_failing_an_axiom_is_not_written(runner, monkeypatch, tmp_path, doc):
+    # the lowered set is spanning but no basis, and no claim, record or
+    # Ingleton set reads its rank: only the result's axiom check sees it
+    real = Matroid.relax
+
+    def lowered(self, labels):
+        m = real(self, labels)
+        kept = [g for g in m.ground if g not in labels] + ["C#1", "D#1"]
+        table = m.table.copy()
+        table[m.mask_of(kept)] -= 1
+        return Matroid(m.ground, table)
+
+    monkeypatch.setattr(Matroid, "relax", lowered)
+    inp, out = tmp_path / "in.json", tmp_path / "cert.json"
+    write_json(inp, doc)
+    result = runner.invoke(main, ["build", "-i", str(inp), "-o", str(out)])
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    assert "claim failed: unit increase fails at " in result.output
+    assert not out.exists()
+
+
 def test_import_does_not_load_openssl():
     # hashlib's OpenSSL backend adds several MB to every CLI process
     code = "import sys, gammoids.cli; print('_hashlib' in sys.modules)"
