@@ -9,15 +9,11 @@ certified as a gammoid by an explicit, machine-verified presentation.
 from .construction import (
     Branch,
     Bundle,
-    Certificate,
-    MinorRecord,
     certify,
     construct,
     normalize,
 )
 from .certificate import (
-    certificate_from_doc,
-    certificate_to_doc,
     certificate_to_json,
     parse_presentation,
     verify_certificate,
@@ -70,7 +66,6 @@ __all__ = [
     "AxiomViolation",
     "Branch",
     "Bundle",
-    "Certificate",
     "ClaimFailed",
     "Digraph",
     "GammoidError",
@@ -82,7 +77,6 @@ __all__ = [
     "Linking",
     "MAX_GROUND",
     "Matroid",
-    "MinorRecord",
     "NotABasis",
     "NotACircuitHyperplane",
     "NotInGround",
@@ -98,8 +92,6 @@ __all__ = [
     "UnknownDemo",
     "add_coloop",
     "brute_force_linking_oracle",
-    "certificate_from_doc",
-    "certificate_to_doc",
     "certificate_to_json",
     "certify",
     "construct",

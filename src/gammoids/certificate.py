@@ -1,13 +1,16 @@
-"""Certificate documents: JSON schema, round-tripping, and re-verification.
+"""Certificate documents: writing, JSON schema, and re-verification.
 
-A certificate has exactly the top-level keys ``claims``, ``ingleton``,
-``minors``, ``recipe``, and ``notes``. It embeds the excluded minor as a
-basis family (rank tables are reconstructed on verify) and one gammoid
-presentation per element and side. Re-verification checks the axioms of
-the excluded minor alone, enumerates every recorded presentation's
-linked sets from scratch through the linkage engine, compares them with
-the independent sets of the minor the record stands for, and re-runs
-the Ingleton and recipe checks without re-running the construction.
+A certificate is one JSON document, in memory as on disk: ``certify``
+returns it, :func:`certificate_to_json` writes it, and
+:func:`verify_certificate` reads it. It has exactly the top-level keys
+``claims``, ``ingleton``, ``minors``, ``recipe``, and ``notes``. It
+embeds the excluded minor as a basis family (rank tables are
+reconstructed on verify) and one gammoid presentation per element and
+side. Re-verification checks the axioms of the excluded minor alone,
+enumerates every recorded presentation's linked sets from scratch
+through the linkage engine, compares them with the independent sets of
+the minor the record stands for, and re-runs the Ingleton and recipe
+checks without re-running the construction.
 
 Certificates are written by a small writer of their own that gives the
 bytes of ``json.dumps(doc, indent=2)``: the standard library uses its C
@@ -24,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .construction import CLAIM_NAMES, Certificate, MinorRecord
+from .construction import CLAIM_NAMES
 from .digraph import Digraph, Presentation
 from .errors import (
     AxiomViolation,
@@ -106,37 +109,6 @@ def parse_presentation(doc: Any) -> Presentation:
     return presentation
 
 
-def _record_doc(p: Presentation, where: str) -> dict:
-    try:
-        _check_graph_size(len(p.graph.vertices), len(p.graph.arcs))
-    except GraphTooLarge as exc:
-        raise GraphTooLarge(f"{where}: {exc}") from None
-    return {"presentation": p.to_doc(), "verified": True}
-
-
-def certificate_to_doc(cert: Certificate) -> dict:
-    """The document of a certificate, as ``verify_certificate`` reads it.
-
-    Raises :class:`GraphTooLarge`, naming the record, when a record's
-    graph exceeds the caps that ``verify_certificate`` enforces.
-    """
-    # a Certificate is complete: every claim and record reads true
-    return {
-        "claims": dict.fromkeys(CLAIM_NAMES, True),
-        "ingleton": dict(cert.ingleton),
-        "minors": [
-            {
-                "x": rec.x,
-                "deletion": _record_doc(rec.deletion, f"minors[{k}].deletion"),
-                "contraction": _record_doc(rec.contraction, f"minors[{k}].contraction"),
-            }
-            for k, rec in enumerate(cert.minors)
-        ],
-        "recipe": dict(cert.recipe),
-        "notes": list(cert.notes),
-    }
-
-
 def _write(doc: Any, pad: str, out: list[str]) -> None:
     """Append ``doc`` as ``json.dumps(doc, indent=2)`` writes it, nested at ``pad``.
 
@@ -192,33 +164,25 @@ def _write(doc: Any, pad: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
-def certificate_to_json(cert: Certificate) -> str:
+def certificate_to_json(doc: dict) -> str:
+    """The bytes of ``json.dumps(doc, indent=2)`` plus a newline, for the
+    certificate document that ``certify`` returns.
+
+    Raises :class:`GraphTooLarge`, naming the record, when a record's
+    graph exceeds the caps that :func:`verify_certificate` enforces, and
+    writes nothing then.
+    """
+    for k, entry in enumerate(doc["minors"]):
+        for side in ("deletion", "contraction"):
+            pres = entry[side]["presentation"]
+            try:
+                _check_graph_size(len(pres["vertices"]), len(pres["arcs"]))
+            except GraphTooLarge as exc:
+                raise GraphTooLarge(f"minors[{k}].{side}: {exc}") from None
     out: list[str] = []
-    _write(certificate_to_doc(cert), "", out)
+    _write(doc, "", out)
     out.append("\n")
     return "".join(out)
-
-
-def certificate_from_doc(doc: Any) -> Certificate:
-    """Decode a certificate document that :func:`verify_certificate` accepts.
-
-    Raises what ``verify_certificate`` raises on any other document.
-    """
-    verify_certificate(doc)
-    minors = tuple(
-        MinorRecord(
-            x=entry["x"],
-            deletion=parse_presentation(entry["deletion"]["presentation"]),
-            contraction=parse_presentation(entry["contraction"]["presentation"]),
-        )
-        for entry in doc["minors"]
-    )
-    return Certificate(
-        ingleton=dict(doc["ingleton"]),
-        minors=minors,
-        recipe=dict(doc["recipe"]),
-        notes=tuple(doc["notes"]),
-    )
 
 
 def _check_certificate_schema(doc: Any) -> None:

@@ -15,7 +15,7 @@ import click
 
 from . import corpus
 from .certificate import certificate_to_json, parse_presentation, verify_certificate
-from .construction import CLAIM_NAMES, Bundle, Certificate, certify, construct
+from .construction import CLAIM_NAMES, Bundle, certify, construct
 from .digraph import transversal_duality_check
 from .errors import (
     GammoidError,
@@ -68,18 +68,19 @@ def _say(msg: str) -> None:
     click.echo(msg, err=True)
 
 
-def _report(bundle: Bundle, cert: Certificate) -> str:
+def _report(bundle: Bundle, cert: dict) -> str:
     """One line per claim, then the certificate summary."""
+    ing = cert["ingleton"]
     lines = []
     for name in CLAIM_NAMES:
         line = f"{name} OK"
         if name == "ingleton_violated":
-            line += f" ({cert.ingleton['lhs']} > {cert.ingleton['rhs']})"
+            line += f" ({ing['lhs']} > {ing['rhs']})"
         lines.append(line)
     m = bundle.result
     lines.append(
         f"certificate COMPLETE: {m.size} elements, rank {m.rank}, "
-        f"{2 * len(cert.minors)} minor presentations verified"
+        f"{2 * len(cert['minors'])} minor presentations verified"
     )
     return "\n".join(lines)
 

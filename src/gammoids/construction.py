@@ -14,8 +14,8 @@ their inputs and build presentations. ``construct`` checks what they
 built through its claims and its recipe check, and the rank axioms of
 its result alone, as linkage tables are matroids by theory. ``certify``
 compares each record's linked sets with the independent sets of the
-table-level minor it stands for. A failed check raises, so a
-:class:`Certificate` exists only when every check has held.
+table-level minor it stands for. A failed check raises, so ``certify``
+returns a certificate document only when every check has held.
 """
 
 from __future__ import annotations
@@ -66,11 +66,9 @@ def _fresh(graph: Digraph, labels) -> None:
 
 @dataclass(frozen=True)
 class Branch:
-    """One symmetric half of the construction (index 1 or 2)."""
+    """One symmetric half of the construction, keyed 1 or 2 in ``Bundle.branches``."""
 
-    index: int
     rebased: Presentation          # input matroid with this side's basis as targets
-    target_copy: tuple[str, ...]   # primed copies of this side's basis
     apexed: Presentation           # side basis split off, both apexes attached
     apexed_matroid: Matroid
     gadget: Presentation           # blocks C and D, collectors, and exit added
@@ -106,25 +104,6 @@ class Bundle:
         return self.block_c + self.block_d
 
 
-@dataclass(frozen=True)
-class MinorRecord:
-    """Presentations of the single-element deletion and contraction at x."""
-
-    x: str
-    deletion: Presentation
-    contraction: Presentation
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A complete certificate: ``certify`` raises rather than return another."""
-
-    ingleton: dict
-    minors: tuple[MinorRecord, ...]
-    recipe: dict
-    notes: tuple[str, ...]
-
-
 def normalize(p: Presentation) -> TwoBasesEmbedding:
     """Retarget to a greedy basis, then embed into a two-bases gammoid."""
     if not p.ground:
@@ -134,8 +113,11 @@ def normalize(p: Presentation) -> TwoBasesEmbedding:
 
 def _build_apexed(
     rebased: Presentation, s_own: tuple[str, ...], s_far: tuple[str, ...], i: int
-) -> tuple[Presentation, tuple[str, ...]]:
-    """Split this side's basis through primed copies and attach both apexes."""
+) -> Presentation:
+    """Split this side's basis through primed copies and attach both apexes.
+
+    The targets are the primed copies, then the two apexes.
+    """
     primes = {x: _prime(x) for x in s_own}
     # before relabeling, which would hide an input vertex named like an apex
     _fresh(rebased.graph, APEXES)
@@ -148,19 +130,14 @@ def _build_apexed(
     arcs += [(x, v_own) for x in s_own]
     arcs += [(y, v_far) for y in s_far]
     graph = graph.with_arcs(arcs)
-    target_copy = tuple(primes[x] for x in s_own)
-    pres = Presentation(graph, rebased.ground + APEXES, target_copy + APEXES)
-    return pres, target_copy
+    return Presentation(graph, rebased.ground + APEXES, tuple(primes.values()) + APEXES)
 
 
 def _build_gadget(
-    apexed: Presentation,
-    target_copy: tuple[str, ...],
-    block_c: tuple[str, ...],
-    block_d: tuple[str, ...],
-    i: int,
+    apexed: Presentation, block_c: tuple[str, ...], block_d: tuple[str, ...], i: int
 ) -> Presentation:
     """Attach blocks C and D through their collectors and the exit vertex."""
+    target_copy = apexed.targets[:-2]  # the primed copies of this side's basis
     exit_v, collect_c, collect_d = f"w#{i}", f"c#{i}", f"d#{i}"
     v_own, v_far = APEXES[i - 1], APEXES[2 - i]
     _fresh(apexed.graph, (exit_v, collect_c, collect_d) + block_c + block_d)
@@ -257,13 +234,11 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
         gadget_families[i] = [relaxed_set, own_c, own_d, far_c, far_d]
         bypass_families[i] = [far_c, own_d, far_d]
         rebased = retarget(norm.presentation, s_own)
-        apexed, target_copy = _build_apexed(rebased, s_own, s_far, i)
-        gadget = _build_gadget(apexed, target_copy, block_c, block_d, i)
+        apexed = _build_apexed(rebased, s_own, s_far, i)
+        gadget = _build_gadget(apexed, block_c, block_d, i)
         bypass = _build_bypass(gadget, block_c, i)
         branches[i] = Branch(
-            index=i,
             rebased=rebased,
-            target_copy=target_copy,
             apexed=apexed,
             apexed_matroid=apexed.matroid,
             gadget=gadget,
@@ -372,9 +347,8 @@ def _block_deletion(gadget: Presentation, x: str) -> Presentation:
     )
 
 
-def _certify_element(
-    bundle: Bundle, block_deleted: dict[str, Presentation], x: str
-) -> MinorRecord:
+def _certify_element(bundle: Bundle, block_deleted: dict[str, Presentation], x: str) -> dict:
+    """The record of x: presentations of its deletion and contraction, each verified."""
     # the comparison of each recorded presentation against the table-level
     # minor below is the one check of the surgeries that built it
     m = bundle.result
@@ -407,11 +381,20 @@ def _certify_element(
         con_pres = contract_any(branch.gadget, x)
     if not con_pres.presents(m.contract([x])):
         raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
-    return MinorRecord(x=x, deletion=del_pres, contraction=con_pres)
+    return {
+        "x": x,
+        "deletion": {"presentation": del_pres.to_doc(), "verified": True},
+        "contraction": {"presentation": con_pres.to_doc(), "verified": True},
+    }
 
 
-def certify(bundle: Bundle, *, jobs: int = 1) -> Certificate:
-    """Produce the per-element minor certificates and assemble the document.
+def certify(bundle: Bundle, *, jobs: int = 1) -> dict:
+    """Certify every element of the result and return the certificate document.
+
+    The document is the JSON object that ``certificate_to_json`` writes
+    and ``verify_certificate`` reads: the keys ``claims``,
+    ``ingleton``, ``minors``, ``recipe`` and ``notes``, in that order.
+    Every claim and every record reads true, since a failed check raises.
 
     The linked sets of every recorded presentation are enumerated once and
     compared with the independent sets of the table-level deletion or
@@ -448,36 +431,32 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> Certificate:
     else:
         records = list(map(certify_one, elements))
 
-    ingleton_doc = {
-        "A": list(bundle.ingleton_witness["A"]),
-        "B": list(bundle.ingleton_witness["B"]),
-        "C": list(bundle.ingleton_witness["C"]),
-        "D": list(bundle.ingleton_witness["D"]),
-        "lhs": bundle.ingleton.lhs,
-        "rhs": bundle.ingleton.rhs,
-        "violated": not bundle.ingleton.holds,
-    }
-    recipe_doc = {
-        "excluded_minor": bundle.result.to_doc(),
-        "delete": list(bundle.recipe_delete),
-        "contract": list(bundle.recipe_contract),
-        "input": {
-            "presentation": bundle.source.to_doc(),
-            "bases": bundle.source_matroid.to_doc()["bases"],
+    witness = bundle.ingleton_witness
+    return {
+        "claims": dict.fromkeys(CLAIM_NAMES, True),
+        "ingleton": {
+            **{key: list(witness[key]) for key in "ABCD"},
+            "lhs": bundle.ingleton.lhs,
+            "rhs": bundle.ingleton.rhs,
+            "violated": not bundle.ingleton.holds,
         },
+        "minors": records,
+        "recipe": {
+            "excluded_minor": m.to_doc(),
+            "delete": list(bundle.recipe_delete),
+            "contract": list(bundle.recipe_contract),
+            "input": {
+                "presentation": bundle.source.to_doc(),
+                "bases": bundle.source_matroid.to_doc()["bases"],
+            },
+        },
+        "notes": [
+            f"rank {bundle.r} input; result has {m.size} elements of rank {m.rank}",
+            "branch 1 presentations back the block element records",
+            "side deletions are checked against the bypass matroid of the element's "
+            "own branch, whose fan circuit families run through that branch's far apex",
+            "the result admits no linkage presentation: it violates the rank "
+            "inequality recorded under 'ingleton', which every linkage matroid "
+            "satisfies",
+        ],
     }
-    notes = (
-        f"rank {bundle.r} input; result has {m.size} elements of rank {m.rank}",
-        "branch 1 presentations back the block element records",
-        "side deletions are checked against the bypass matroid of the element's "
-        "own branch, whose fan circuit families run through that branch's far apex",
-        "the result admits no linkage presentation: it violates the rank "
-        "inequality recorded under 'ingleton', which every linkage matroid "
-        "satisfies",
-    )
-    return Certificate(
-        ingleton=ingleton_doc,
-        minors=tuple(records),
-        recipe=recipe_doc,
-        notes=notes,
-    )

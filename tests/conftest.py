@@ -5,7 +5,6 @@ import time
 import pytest
 
 from gammoids import certify, construct, digraph, parse_presentation
-from gammoids.certificate import certificate_to_doc
 from gammoids.corpus import RANK3_DOC, U24_DOC
 from gammoids.matroid import Matroid
 
@@ -85,5 +84,6 @@ def r3_run():
 
 @pytest.fixture(scope="session")
 def u24_cert_doc(u24_run):
+    """``certify``'s own document, shared: a test that mutates it deep-copies it first."""
     _, cert, _ = u24_run
-    return certificate_to_doc(cert)
+    return cert

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import requires_kernel, uniform
 from gammoids import certify, construct, digraph, parse_presentation
-from gammoids.certificate import certificate_to_doc, verify_certificate
+from gammoids.certificate import verify_certificate
 from gammoids.corpus import RANK3_DOC, random_digraph, random_presentation, random_vertex_subset
 from gammoids.digraph import (
     Digraph,
@@ -463,7 +463,7 @@ class TestKernel:
         with monkeypatch.context() as m:
             m.setattr(digraph, "_linkage_independence", spy)
             cert = certify(construct(parse_presentation(RANK3_DOC)))
-            verify_certificate(certificate_to_doc(cert))
+            verify_certificate(cert)
         assert len(seen) > 50 and max(len(p.ground) for p in seen) == 14
         for p in seen:
             kernel, python = both_engines(p, monkeypatch)
