@@ -36,6 +36,7 @@ from .errors import (
     GroundSetTooLarge,
     ParseError,
     ReverifyFailed,
+    TooLarge,
 )
 from .matroid import MAX_GROUND, Matroid
 
@@ -322,7 +323,7 @@ def verify_certificate(doc: Any) -> None:
                 raise ReverifyFailed(where, "record is marked unverified")
             try:
                 presents = parse_presentation(rec["presentation"]).presents(minor)
-            except (GraphTooLarge, GroundSetTooLarge) as exc:
+            except TooLarge as exc:
                 raise type(exc)(f"{where}: {exc}") from None
             except (GammoidError, ValueError) as exc:
                 raise ReverifyFailed(where, f"presentation invalid: {exc}") from None
@@ -335,13 +336,12 @@ def verify_certificate(doc: Any) -> None:
     if not set(dels) <= labels or not set(cons) <= labels or set(dels) & set(cons):
         raise ReverifyFailed("recipe", "delete/contract lists are not disjoint subsets")
     try:
-        source = parse_presentation(recipe["input"]["presentation"])
-        source_matroid = source.matroid
-    except (GraphTooLarge, GroundSetTooLarge) as exc:
+        input_matroid = parse_presentation(recipe["input"]["presentation"]).matroid
+    except TooLarge as exc:
         raise type(exc)(f"recipe.input.presentation: {exc}") from None
     except (GammoidError, ValueError) as exc:
         raise ReverifyFailed("recipe.input.presentation", str(exc)) from None
-    if not m.delete(dels).contract(cons).equals(source_matroid):
+    if not m.delete(dels).contract(cons).equals(input_matroid):
         raise ReverifyFailed("recipe", "recipe does not recover the input matroid")
-    if source_matroid.to_doc()["bases"] != recipe["input"]["bases"]:
+    if input_matroid.to_doc()["bases"] != recipe["input"]["bases"]:
         raise ReverifyFailed("recipe.input.bases", "input basis family does not match")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from typing import NoReturn
 
 import click
 
@@ -19,8 +20,6 @@ from .construction import CLAIM_NAMES, Bundle, certify, construct
 from .digraph import transversal_duality_check
 from .errors import (
     GammoidError,
-    GraphTooLarge,
-    GroundSetTooLarge,
     LabelCollision,
     ParseError,
     ReverifyFailed,
@@ -68,6 +67,23 @@ def _say(msg: str) -> None:
     click.echo(msg, err=True)
 
 
+def _fail(exc: GammoidError) -> NoReturn:
+    """Report a package error on stderr and exit with its code."""
+    if isinstance(exc, (ParseError, LabelCollision)):
+        # LabelCollision: an input vertex is named like a generated label
+        _say(f"parse error: {exc}")
+        sys.exit(EXIT_PARSE)
+    if isinstance(exc, TooLarge):
+        _say(f"too large: {exc}")
+        sys.exit(EXIT_TOO_LARGE)
+    if isinstance(exc, ReverifyFailed):
+        _say(str(exc))
+        sys.exit(EXIT_REVERIFY_FAILED)
+    # a failed claim, or an internal check that failed on the way to one
+    _say(f"claim failed: {exc}")
+    sys.exit(EXIT_CLAIM_FAILED)
+
+
 def _report(bundle: Bundle, cert: dict) -> str:
     """One line per claim, then the certificate summary."""
     ing = cert["ingleton"]
@@ -101,30 +117,13 @@ def main() -> None:
 def build(input_path: str, output_path: str, jobs: int, max_elements: int) -> None:
     """Build an excluded-minor certificate from a gammoid presentation."""
     try:
-        doc = _load_json(input_path)
-        presentation = parse_presentation(doc)
-    except ParseError as exc:
-        _say(f"parse error: {exc}")
-        sys.exit(EXIT_PARSE)
-    except (GraphTooLarge, GroundSetTooLarge) as exc:
-        _say(f"too large: {exc}")
-        sys.exit(EXIT_TOO_LARGE)
-    try:
+        presentation = parse_presentation(_load_json(input_path))
         bundle = construct(presentation, max_elements=max_elements)
         cert = certify(bundle, jobs=jobs)
         # a record past the graph caps that verify enforces is refused here
         text = certificate_to_json(cert)
-    except LabelCollision as exc:
-        # an input vertex is named like a label the construction generates
-        _say(f"parse error: {exc}")
-        sys.exit(EXIT_PARSE)
-    except (TooLarge, GraphTooLarge, GroundSetTooLarge) as exc:
-        _say(f"too large: {exc}")
-        sys.exit(EXIT_TOO_LARGE)
     except GammoidError as exc:
-        # a failed claim, or an internal check that failed on the way to one
-        _say(f"claim failed: {exc}")
-        sys.exit(EXIT_CLAIM_FAILED)
+        _fail(exc)
     _write_text(output_path, text)
     _say(_report(bundle, cert))
     sys.exit(EXIT_OK)
@@ -135,17 +134,9 @@ def build(input_path: str, output_path: str, jobs: int, max_elements: int) -> No
 def verify(certificate: str) -> None:
     """Re-validate a certificate without rebuilding the construction."""
     try:
-        doc = _load_json(certificate)
-        verify_certificate(doc)
-    except ParseError as exc:
-        _say(f"parse error: {exc}")
-        sys.exit(EXIT_PARSE)
-    except (GraphTooLarge, GroundSetTooLarge) as exc:
-        _say(f"too large: {exc}")
-        sys.exit(EXIT_TOO_LARGE)
-    except ReverifyFailed as exc:
-        _say(str(exc))
-        sys.exit(EXIT_REVERIFY_FAILED)
+        verify_certificate(_load_json(certificate))
+    except GammoidError as exc:
+        _fail(exc)
     _say("certificate OK")
     sys.exit(EXIT_OK)
 
@@ -172,8 +163,7 @@ def demo(name: str) -> None:
         bundle = construct(presentation)
         cert = certify(bundle)
     except GammoidError as exc:
-        click.echo(f"claim failed: {exc}")
-        sys.exit(EXIT_CLAIM_FAILED)
+        _fail(exc)
     click.echo(_report(bundle, cert))
     sys.exit(EXIT_OK)
 

@@ -12,7 +12,10 @@ nothing is taken on faith from the construction itself.
 This module is where identities are checked. The surgeries only check
 their inputs and build presentations. ``construct`` checks what they
 built through its claims and its recipe check, and the rank axioms of
-its result alone, as linkage tables are matroids by theory. ``certify``
+its result alone, as linkage tables are matroids by theory. Each fact is
+checked once: the gadget circuit families on branch 1's gadget alone,
+since a claim proves branch 2's gadget matroid equal to it, and the
+Ingleton violation by the ten ranks that fix both of its sides. ``certify``
 compares each record's linked sets with the independent sets of the
 table-level minor it stands for. A failed check raises, so ``certify``
 returns a certificate document only when every check has held.
@@ -66,25 +69,28 @@ def _fresh(graph: Digraph, labels) -> None:
 
 @dataclass(frozen=True)
 class Branch:
-    """One symmetric half of the construction, keyed 1 or 2 in ``Bundle.branches``."""
+    """One symmetric half of the construction, keyed 1 or 2 in ``Bundle.branches``.
 
-    rebased: Presentation          # input matroid with this side's basis as targets
+    Each stage is a presentation; its table is that presentation's cached
+    ``matroid``, which ``construct`` materializes while it checks its claims.
+    """
+
     apexed: Presentation           # side basis split off, both apexes attached
-    apexed_matroid: Matroid
     gadget: Presentation           # blocks C and D, collectors, and exit added
-    gadget_matroid: Matroid
     bypass: Presentation           # gadget plus arcs from block C to the far apex
-    bypass_matroid: Matroid
 
 
 @dataclass(frozen=True)
 class Bundle:
-    """Everything the pipeline builds."""
+    """Everything the pipeline builds.
+
+    The input's table is ``source.matroid`` and the normalized input's is
+    ``normalized.presentation.matroid``. ``core``, ``gadget`` and ``result``
+    name the common values that the claims establish.
+    """
 
     source: Presentation
-    source_matroid: Matroid
     normalized: TwoBasesEmbedding
-    base: Matroid                  # normalized input, two disjoint bases
     s1: tuple[str, ...]
     s2: tuple[str, ...]
     r: int
@@ -170,20 +176,9 @@ def _build_bypass(gadget: Presentation, block_c: tuple[str, ...], i: int) -> Pre
     return Presentation(graph, gadget.ground, gadget.targets)
 
 
-def _family_subsets(families, size: int, mask_of) -> set[int]:
-    expected: set[int] = set()
-    for family in families:
-        members = list(family)
-        if len(members) < size:
-            continue
-        for combo in combinations(members, size):
-            expected.add(mask_of(combo))
-    return expected
-
-
 def _check_circuit_families(m: Matroid, families, block, claim: str) -> None:
     """Both directions: circuits meeting the block are exactly the family subsets."""
-    expected = _family_subsets(families, m.rank, m.mask_of)
+    expected = {m.mask_of(c) for family in families for c in combinations(family, m.rank)}
     block_mask = m.mask_of(block)
     actual = {c for c in m.nonspanning_circuit_masks() if c & block_mask}
     if expected != actual:
@@ -202,12 +197,12 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     Raises :class:`TooLarge` if the final ground set would exceed the cap
     and :class:`ClaimFailed` if any exhaustive check fails.
     """
-    source_matroid = p.matroid
+    input_matroid = p.matroid
     # the normalized rank, read off the input before anything larger is
     # built: normalize keeps the greedy basis B and attaches one target per
     # element of E - B outside a maximum independent subset of it
-    basis = set(source_matroid.greedy_basis())
-    r = len(p.ground) - source_matroid.rank_of(g for g in p.ground if g not in basis)
+    basis = set(input_matroid.greedy_basis())
+    r = len(p.ground) - input_matroid.rank_of(g for g in p.ground if g not in basis)
     total = 3 * r + 5
     cap = min(max_elements, MAX_GROUND)
     if total > cap:
@@ -215,7 +210,6 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
             f"result would have {total} elements (rank {r} input); cap is {cap}"
         )
     norm = normalize(p)
-    base = norm.presentation.matroid
     s1, s2 = norm.basis_one, norm.basis_two
     assert len(s1) == r, "normalized rank differs from its prediction"
 
@@ -223,51 +217,39 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     block_d = tuple(f"D#{k + 1}" for k in range(r + 1))
     relaxed_set = block_c + block_d
 
+    # the fans: each side's basis and apex, with block C or with block D
+    c1, d1 = s1 + block_c + (APEXES[0],), s1 + block_d + (APEXES[0],)
+    c2, d2 = s2 + block_c + (APEXES[1],), s2 + block_d + (APEXES[1],)
+
     branches: dict[int, Branch] = {}
-    # the circuit families each branch's gadget and bypass must show
-    gadget_families: dict[int, list[tuple[str, ...]]] = {}
-    bypass_families: dict[int, list[tuple[str, ...]]] = {}
     for i, s_own, s_far in ((1, s1, s2), (2, s2, s1)):
-        v_own, v_far = APEXES[i - 1], APEXES[2 - i]
-        own_c, own_d = s_own + block_c + (v_own,), s_own + block_d + (v_own,)
-        far_c, far_d = s_far + block_c + (v_far,), s_far + block_d + (v_far,)
-        gadget_families[i] = [relaxed_set, own_c, own_d, far_c, far_d]
-        bypass_families[i] = [far_c, own_d, far_d]
-        rebased = retarget(norm.presentation, s_own)
-        apexed = _build_apexed(rebased, s_own, s_far, i)
-        gadget = _build_gadget(apexed, block_c, block_d, i)
-        bypass = _build_bypass(gadget, block_c, i)
-        branches[i] = Branch(
-            rebased=rebased,
-            apexed=apexed,
-            apexed_matroid=apexed.matroid,
-            gadget=gadget,
-            gadget_matroid=gadget.matroid,
-            bypass=bypass,
-            bypass_matroid=bypass.matroid,
-        )
+        apexed = _build_apexed(retarget(norm.presentation, s_own), s_own, s_far, i)
+        gadget_pres = _build_gadget(apexed, block_c, block_d, i)
+        branches[i] = Branch(apexed, gadget_pres, _build_bypass(gadget_pres, block_c, i))
 
-    if not branches[1].apexed_matroid.equals(branches[2].apexed_matroid):
+    if not branches[1].apexed.matroid.equals(branches[2].apexed.matroid):
         raise ClaimFailed("branch_matroids_equal", "the two apexed matroids differ")
-    core = branches[1].apexed_matroid
+    core = branches[1].apexed.matroid
 
-    if not core.contract(APEXES).equals(base):
+    if not core.contract(APEXES).equals(norm.presentation.matroid):
         raise ClaimFailed(
             "apex_contraction_restores_input", "contracting both apexes lost the input"
         )
 
-    for i in (1, 2):
-        _check_circuit_families(
-            branches[i].gadget_matroid, gadget_families[i], relaxed_set, "gadget_circuit_families"
-        )
+    # checked on branch 1 alone: branch 2's gadget must show the same five
+    # families, and the next claim makes its matroid this one
+    gadget = branches[1].gadget.matroid
+    _check_circuit_families(
+        gadget, (relaxed_set, c1, d1, c2, d2), relaxed_set, "gadget_circuit_families"
+    )
 
-    if not branches[1].gadget_matroid.equals(branches[2].gadget_matroid):
+    if not gadget.equals(branches[2].gadget.matroid):
         raise ClaimFailed("gadget_matroids_equal", "the two gadget matroids differ")
-    gadget = branches[1].gadget_matroid
 
-    for i in (1, 2):
+    # a bypass shows the far side's fans and its own side's fan with D
+    for i, families in ((1, (c2, d1, d2)), (2, (c1, d2, d1))):
         _check_circuit_families(
-            branches[i].bypass_matroid, bypass_families[i], relaxed_set, "bypass_circuit_families"
+            branches[i].bypass.matroid, families, relaxed_set, "bypass_circuit_families"
         )
 
     if not gadget.is_circuit_hyperplane(relaxed_set):
@@ -283,30 +265,14 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     if not result.delete(relaxed_set).equals(core):
         raise ClaimFailed("input_minor_present", "recovering the input minor failed")
 
-    witness = {
-        "A": s1 + (APEXES[0],),
-        "B": s2 + (APEXES[1],),
-        "C": block_c,
-        "D": block_d,
-    }
-    check = result.ingleton_check(witness["A"], witness["B"], witness["C"], witness["D"])
-    ok = (
-        check.lhs == 5 * r + 11
-        and check.rhs == 5 * r + 10
-        and not check.holds
-        and result.rank_of(witness["A"]) == r + 1
-        and result.rank_of(witness["B"]) == r + 1
-        and all(
-            result.rank_of(witness["A"] + witness["B"] + witness[z]) == r + 3
-            for z in ("C", "D")
-        )
-        and result.rank_of(witness["C"] + witness["D"]) == r + 3
-        and all(
-            result.rank_of(witness[y] + witness[z]) == r + 2
-            for y, z in (("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"), ("B", "D"))
-        )
-    )
-    if not ok:
+    witness = {"A": s1 + APEXES[:1], "B": s2 + APEXES[1:], "C": block_c, "D": block_d}
+    check = result.ingleton_check(*(witness[z] for z in "ABCD"))
+    # these ten ranks fix both sides of the inequality: 5r + 11 against 5r + 10
+    ranks = {"A": r + 1, "B": r + 1, "ABC": r + 3, "ABD": r + 3, "CD": r + 3}
+    ranks.update(dict.fromkeys(("AB", "AC", "AD", "BC", "BD"), r + 2))
+    if any(
+        result.rank_of(x for z in key for x in witness[z]) != rank for key, rank in ranks.items()
+    ):
         raise ClaimFailed(
             "ingleton_violated", f"expected {5 * r + 11} > {5 * r + 10}, got {check}"
         )
@@ -314,14 +280,12 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     # the one check of the retargeting in normalize
     recipe_delete = relaxed_set + norm.delete_back
     recipe_contract = APEXES + norm.contract_back
-    if not result.delete(recipe_delete).contract(recipe_contract).equals(source_matroid):
+    if not result.delete(recipe_delete).contract(recipe_contract).equals(input_matroid):
         raise ClaimFailed("input_minor_present", "the recipe does not recover the input")
 
     return Bundle(
         source=p,
-        source_matroid=source_matroid,
         normalized=norm,
-        base=base,
         s1=s1,
         s2=s2,
         r=r,
@@ -376,7 +340,7 @@ def _certify_element(bundle: Bundle, block_deleted: dict[str, Presentation], x: 
         # the presented matroid is the bypass matroid restricted away from x,
         # by definition of restriction; the content of the check is that this
         # restriction agrees with deleting x from the result
-        if not branch.bypass_matroid.delete([x]).equals(m.delete([x])):
+        if not branch.bypass.matroid.delete([x]).equals(m.delete([x])):
             raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
         con_pres = contract_any(branch.gadget, x)
     if not con_pres.presents(m.contract([x])):
@@ -447,7 +411,7 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> dict:
             "contract": list(bundle.recipe_contract),
             "input": {
                 "presentation": bundle.source.to_doc(),
-                "bases": bundle.source_matroid.to_doc()["bases"],
+                "bases": bundle.source.matroid.to_doc()["bases"],
             },
         },
         "notes": [

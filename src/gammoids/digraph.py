@@ -47,11 +47,11 @@ import subprocess
 import sysconfig
 import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,12 +121,13 @@ class Digraph:
 
     vertices: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
+    index: dict[str, int] = field(init=False, compare=False, repr=False)  # vertex positions
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[Sequence[str]] = ()):
         vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertices")
         index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
+            raise ValueError("duplicate vertices")
         seen = set()
         for u, v in arcs:
             if u == v:
@@ -139,10 +140,7 @@ class Digraph:
         canon = tuple(sorted(seen, key=lambda a: (index[a[0]], index[a[1]])))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "arcs", canon)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+        object.__setattr__(self, "index", index)
 
     @cached_property
     def _out(self) -> tuple[tuple[int, ...], ...]:
@@ -387,22 +385,31 @@ class _FlowNetwork:
         return paths
 
 
-def max_linking(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) -> Linking:
-    """A maximum family of vertex-disjoint paths from ``sources`` into ``targets``."""
+def _linking_network(
+    graph: Digraph, sources: Iterable[str], targets: Iterable[str]
+) -> tuple[_FlowNetwork, bytearray, int]:
+    """Route ``sources`` into ``targets``: the network, its flow and the count routed."""
     idx = graph.index
-    src_idx = [idx[v] for v in sources]
-    for t in targets:
-        if t not in idx:
-            raise ValueError(f"target {reprlib.repr(t)} is not a vertex")
+    sources, targets = tuple(sources), tuple(targets)
+    for name, part in (("source", sources), ("target", targets)):
+        for v in part:
+            if v not in idx:
+                raise ValueError(f"{name} {reprlib.repr(v)} is not a vertex")
     net = _FlowNetwork(graph, targets)
     caps = net.fresh()
-    net.route(caps, src_idx)
+    return net, caps, net.route(caps, [idx[v] for v in sources])
+
+
+def max_linking(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) -> Linking:
+    """A maximum family of vertex-disjoint paths from ``sources`` into ``targets``."""
+    net, caps, _ = _linking_network(graph, sources, targets)
     return Linking(tuple(net.linking_paths(caps, graph)))
 
 
 def is_linked(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) -> bool:
+    """Whether every source is linked into ``targets`` by disjoint paths."""
     sources = tuple(sources)
-    return max_linking(graph, sources, targets).size == len(sources)
+    return _linking_network(graph, sources, targets)[2] == len(sources)
 
 
 class _Comparison(NamedTuple):
@@ -611,17 +618,16 @@ def brute_force_linking_oracle(
     return best(0, frozenset())
 
 
-def kuhn_matching(
-    elements: Sequence, n_parts: int, contains: Callable[[int, object], bool]
-) -> list | None:
+def kuhn_matching(elements: Sequence, parts: Sequence[Collection]) -> list | None:
     """Match each element to a distinct part containing it (Kuhn search).
 
-    ``contains(p, e)`` says whether part p contains element e. Returns
-    the element matched into each part (None for a part left free), or
-    None if some element cannot be matched. Each element's augmenting
-    path is searched depth first, trying parts in index order; the path
-    is kept on an explicit stack, so a call leaves no reference cycle.
+    Returns the element matched into each part (None for a part left
+    free), or None if some element cannot be matched. Each element's
+    augmenting path is searched depth first, trying parts in index order;
+    the path is kept on an explicit stack, so a call leaves no reference
+    cycle.
     """
+    n_parts = len(parts)
     owner: list = [None] * n_parts
     for e in elements:
         seen: set[int] = set()
@@ -629,7 +635,7 @@ def kuhn_matching(
         while path:
             frame = path[-1]
             x, p = frame
-            while p < n_parts and (p in seen or not contains(p, x)):
+            while p < n_parts and (p in seen or x not in parts[p]):
                 p += 1
             if p == n_parts:
                 path.pop()
@@ -672,7 +678,7 @@ def transversal_duality_check(presentation: Presentation) -> bool:
 
     def oracle(mask: int) -> bool:
         elements = [g for b, g in enumerate(ground) if mask >> b & 1]
-        return kuhn_matching(elements, len(parts), lambda k, e: e in parts[k]) is not None
+        return kuhn_matching(elements, parts) is not None
 
     transversal = Matroid.from_independence_oracle(presentation.ground, oracle)
     return transversal.dual().equals(presentation.matroid)

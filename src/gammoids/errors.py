@@ -5,11 +5,15 @@ class GammoidError(Exception):
     """Base class for every error raised by this package."""
 
 
-class GroundSetTooLarge(GammoidError):
+class TooLarge(GammoidError):
+    """An input or the construction exceeds a size cap."""
+
+
+class GroundSetTooLarge(TooLarge):
     """Ground set exceeds the exhaustive-enumeration cap."""
 
 
-class GraphTooLarge(GammoidError):
+class GraphTooLarge(TooLarge):
     """Graph exceeds a vertex or arc cap (input parsing, brute-force oracle)."""
 
 
@@ -74,10 +78,6 @@ class ClaimFailed(GammoidError):
 
 class ParseError(GammoidError):
     """Malformed input or certificate document."""
-
-
-class TooLarge(GammoidError):
-    """Construction would exceed the configured element cap."""
 
 
 class ReverifyFailed(GammoidError):

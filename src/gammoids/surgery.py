@@ -93,7 +93,7 @@ def retarget(p: Presentation, basis) -> Presentation:
     # targets takes arcs to the rest of the part it is matched into
     parts = dual_transversal_parts(graph, targets)
     tails = [v for v in verts if v not in tp]
-    owners = kuhn_matching(tails, len(parts), lambda k, e: e in parts[k])
+    owners = kuhn_matching(tails, parts)
     if owners is None:
         raise RetargetFailed("dual transversal system admitted no full matching")
     arcs = [(b, u) for b, part in zip(owners, parts) if b is not None for u in part - {b}]

@@ -84,7 +84,7 @@ def test_criterion_3_circuit_family_characterizations(u24_run, r3_run):
         size = bundle.r + 3
         for i, s_own, s_far in ((1, bundle.s1, bundle.s2), (2, bundle.s2, bundle.s1)):
             v_own, v_far = APEXES[i - 1], APEXES[2 - i]
-            gm = bundle.branches[i].gadget_matroid
+            gm = bundle.branches[i].gadget.matroid
             gadget_families = [
                 block,
                 s_own + c + (v_own,),
@@ -95,7 +95,7 @@ def test_criterion_3_circuit_family_characterizations(u24_run, r3_run):
             assert expected_family_masks(gm, gadget_families, size) == block_circuits(
                 gm, block
             )
-            bm = bundle.branches[i].bypass_matroid
+            bm = bundle.branches[i].bypass.matroid
             bypass_families = [
                 s_far + c + (v_far,),
                 s_own + d + (v_own,),
@@ -122,13 +122,13 @@ def test_criterion_5_axiom_suite(u24_run, r3_run):
     checked = 0
     for bundle, _, _ in (u24_run, r3_run):
         for m in (
-            bundle.source_matroid,
-            bundle.base,
+            bundle.source.matroid,
+            bundle.normalized.presentation.matroid,
             bundle.core,
             bundle.gadget,
             bundle.result,
-            bundle.branches[1].bypass_matroid,
-            bundle.branches[2].bypass_matroid,
+            bundle.branches[1].bypass.matroid,
+            bundle.branches[2].bypass.matroid,
         ):
             m.verify_axioms()
             checked += 1

@@ -18,6 +18,7 @@ from gammoids.corpus import RANK3_DOC, U24_DOC, random_presentation
 from gammoids.digraph import Digraph, Presentation
 from gammoids.errors import ClaimFailed, TooLarge
 from gammoids.matroid import Matroid
+from gammoids.surgery import retarget
 
 
 def family_subsets(m, families, size):
@@ -67,27 +68,28 @@ class TestBundleShape:
 
     def test_apexed_vertex_count(self, u24_run):
         bundle, _, _ = u24_run
-        for branch in bundle.branches.values():
-            assert len(branch.apexed.graph.vertices) == (
-                len(branch.rebased.graph.vertices) + bundle.r + 2
+        for i, s_own in ((1, bundle.s1), (2, bundle.s2)):
+            rebased = retarget(bundle.normalized.presentation, s_own)
+            assert len(bundle.branches[i].apexed.graph.vertices) == (
+                len(rebased.graph.vertices) + bundle.r + 2
             )
 
     def test_own_basis_with_apexes_is_a_basis(self, u24_run):
         bundle, _, _ = u24_run
         for i, s_own in ((1, bundle.s1), (2, bundle.s2)):
-            m = bundle.branches[i].apexed_matroid
+            m = bundle.branches[i].apexed.matroid
             assert m.is_basis(s_own + APEXES)
             assert m.rank == bundle.r + 2
 
     def test_gadget_restricts_to_core(self, u24_run):
         bundle, _, _ = u24_run
         for branch in bundle.branches.values():
-            assert branch.gadget_matroid.delete(bundle.relaxed_set).equals(bundle.core)
+            assert branch.gadget.matroid.delete(bundle.relaxed_set).equals(bundle.core)
 
     def test_block_sets_independent_in_bypass(self, u24_run):
         bundle, _, _ = u24_run
         for i, s_own in ((1, bundle.s1), (2, bundle.s2)):
-            m = bundle.branches[i].bypass_matroid
+            m = bundle.branches[i].bypass.matroid
             assert m.is_independent(bundle.relaxed_set)
             assert m.is_independent(s_own + bundle.block_c + (APEXES[i - 1],))
 
@@ -108,10 +110,25 @@ class TestClaims:
             construct(p)
         assert info.value.claim == "input_minor_present"
 
+    def test_tampered_branch_2_gadget_fails_the_equality_claim(self, monkeypatch):
+        # the gadget circuit families are checked on branch 1 alone, so a
+        # branch 2 gadget that differs is caught by the equality claim
+        real = construction._build_gadget
+
+        def tampered(apexed, block_c, block_d, i):
+            gadget = real(apexed, block_c, block_d, i)
+            return gadget if i == 1 else drop_arc_changing_matroid(gadget)
+
+        monkeypatch.setattr(construction, "_build_gadget", tampered)
+        with pytest.raises(ClaimFailed) as info:
+            construct(parse_presentation(U24_DOC))
+        assert info.value.claim == "gadget_matroids_equal"
+
     def test_core_contraction_recovers_base(self, u24_run):
         bundle, _, _ = u24_run
-        assert bundle.core.contract(APEXES).equals(bundle.base)
-        assert not set(bundle.core.ground) == set(bundle.base.ground)
+        base = bundle.normalized.presentation.matroid
+        assert bundle.core.contract(APEXES).equals(base)
+        assert not set(bundle.core.ground) == set(base.ground)
 
     def test_result_minor_is_original_input(self, u24_run):
         bundle, _, _ = u24_run
@@ -137,7 +154,7 @@ class TestClaims:
             (1, [s2 + c + (v2,), s1 + d + (v1,), s2 + d + (v2,)]),
             (2, [s1 + c + (v1,), s2 + d + (v2,), s1 + d + (v1,)]),
         ):
-            m = bundle.branches[i].bypass_matroid
+            m = bundle.branches[i].bypass.matroid
             expected = family_subsets(m, fams, bundle.r + 3)
             assert len(expected) == 13
             assert expected == block_meeting_circuits(m, c + d)
@@ -145,9 +162,9 @@ class TestClaims:
     def test_bypass_circuits_are_dependent_in_gadget(self, u24_run):
         bundle, _, _ = u24_run
         for branch in bundle.branches.values():
-            gm = branch.gadget_matroid
-            for mask in block_meeting_circuits(branch.bypass_matroid, bundle.relaxed_set):
-                labels = branch.bypass_matroid.labels_of(mask)
+            gm, bm = branch.gadget.matroid, branch.bypass.matroid
+            for mask in block_meeting_circuits(bm, bundle.relaxed_set):
+                labels = bm.labels_of(mask)
                 assert not gm.is_independent(labels)
 
     def test_ingleton_numbers(self, u24_run):
@@ -181,7 +198,7 @@ class TestSideDeletions:
         c, d = bundle.block_c, bundle.block_d
         for i, s_own, s_far in ((1, bundle.s1, bundle.s2), (2, bundle.s2, bundle.s1)):
             v_own, v_far = APEXES[i - 1], APEXES[2 - i]
-            bm = bundle.branches[i].bypass_matroid
+            bm = bundle.branches[i].bypass.matroid
             for x in s_own + (v_own,):
                 left = m.delete([x])
                 right = bm.delete([x])
@@ -413,9 +430,10 @@ class TestRandomEndToEnd:
             bundle = construct(p, max_elements=11)  # normalized rank at most 2
         except TooLarge:
             assume(False)
-        tables = [bundle.source_matroid, bundle.base, bundle.core, bundle.gadget, bundle.result]
+        tables = [bundle.source.matroid, bundle.normalized.presentation.matroid]
+        tables += [bundle.core, bundle.gadget, bundle.result]
         for branch in bundle.branches.values():
-            tables += [branch.apexed_matroid, branch.gadget_matroid, branch.bypass_matroid]
+            tables += [branch.apexed.matroid, branch.gadget.matroid, branch.bypass.matroid]
         for m in tables:
             m.verify_axioms()
         doc = json.loads(certificate_to_json(certify(bundle)))

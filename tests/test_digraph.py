@@ -116,6 +116,22 @@ class TestIsLinked:
                     assert is_linked(g, xs[:drop] + xs[drop + 1 :], ts)
 
 
+@pytest.mark.parametrize("linking", [max_linking, is_linked])
+def test_unknown_vertex_is_named(linking):
+    g = Digraph("ab", [("a", "b")])
+    with pytest.raises(ValueError, match=r"^source 'zz' is not a vertex$"):
+        linking(g, iter(["a", "zz"]), "b")
+    with pytest.raises(ValueError, match=r"^target 'zz' is not a vertex$"):
+        linking(g, iter("a"), ["b", "zz"])
+
+
+def test_sources_may_be_an_iterator():
+    # validating the sources must not use them up before routing
+    g = Digraph("ab", [("a", "b")])
+    assert max_linking(g, iter("a"), "b").paths == (("a", "b"),)
+    assert is_linked(g, iter("a"), "b")
+
+
 class TestLinkageMatroid:
     def test_no_arcs_all_targets_is_free(self):
         g = Digraph("abc")
