@@ -3,14 +3,17 @@
    The algorithm is described in the docstring of
    gammoids.digraph._linkage_independence. The kernel runs it on the
    vertices themselves rather than on _FlowNetwork's vertex-split
-   network. A flow is succ[v] and pred[v] per vertex (the next and the
-   previous vertex on its path; -1 for the sink, for the source, or off
-   every path) plus two vertex bitsets: on (vertices on a path) and
-   free (targets whose sink arc carries no flow). The reverse search
-   from the sink runs level by level over bitsets of nw = ceil(nv / 64)
-   words, reaching in-nodes and out-nodes of the split network by five
-   residual rules, where X <- Y means that X is reached from Y (the
-   residual network has an arc X -> Y):
+   network. It numbers them ground first: ground element e is vertex e,
+   and the other vertices follow in the caller's order. The ground has at
+   most 24 elements, so a set of candidates is a set of vertices in the
+   first 64-bit word of any vertex bitset. A flow is succ[v] and pred[v]
+   per vertex (the next and the previous vertex on its path; -1 for the
+   sink, for the source, or off every path) plus two vertex bitsets: on
+   (vertices on a path) and free (targets whose sink arc carries no
+   flow). The reverse search from the sink runs level by level, reaching
+   in-nodes and out-nodes of the split network by five residual rules,
+   where X <- Y means that X is reached from Y (the residual network has
+   an arc X -> Y):
      out(t) <- sink    for a free target t;
      in(v)  <- out(v)  for v on no path;
      in(w)  <- out(v)  for w = succ[v];
@@ -21,18 +24,28 @@
    Each reached out-node keeps one pointer toward the sink; an in-node's
    successor follows from the flow (out(v) off every path, else
    out(pred[v])). A child's flow is the parent's plus a walk along them.
-   In-neighbours are sparse (word, bits) rows, so the kernel allocates
-   O(vertices + arcs) plus its stack, and no table of nv x nv bits.
+   A search whose extensions are leaves (of full rank) records no
+   pointers, since no walk follows it.
+
+   Two searches apply these rules. On a graph of at most 64 vertices,
+   search1 holds every vertex set of the search and of the flow in one
+   local word, and each vertex's in-neighbours in one word (inmask). On a
+   larger graph, search runs over bitsets of nw = ceil(nv / 64) words,
+   visits only the nonzero words of each frontier, and keeps each
+   vertex's in-neighbours as sparse (word, bits) rows, so the kernel
+   allocates O(vertices + arcs) plus its stack, and no table of nv x nv
+   bits, up to its cap of 1 << 20 vertices.
 
    The two engines build different flows, but their results agree. For
    a linked set I and any maximum flow of it, in(e) reaches the sink
    exactly when I + e is linked, so which candidates a search reaches
    depends only on the linked family; so does the routed set, the first
-   basis in vertex order. The stack order, the candidates (a bit mask,
-   lowest element first) and the stop once every candidate is reached
-   are those of the Python engine, so indep, the number of searches and
-   the first set found to differ are the same. gammoids.digraph compiles
-   this file and calls it through ctypes.
+   basis in the caller's vertex order, in which the rank is routed
+   whatever the kernel's numbering. The stack order, the candidates (a
+   bit mask, lowest element first) and the stop once every candidate is
+   reached are those of the Python engine, so indep, the number of
+   searches and the first set found to differ are the same.
+   gammoids.digraph compiles this file and calls it through ctypes.
 
    The kernel receives the query itself: n_vertices, the n_arcs arcs as
    (tail, head) pairs of vertex indices in arcs, the n ground elements
@@ -76,10 +89,12 @@ typedef uint64_t word;
 #define BIT(v) ((word)1 << ((v) & 63))
 #define HAS(set, v) ((set)[(v) >> 6] >> ((v) & 63) & 1)
 
-/* the graph as in-neighbour rows: row v holds the tails of the arcs into
-   v, as entries (row_word[r], row_bits[r]) for r in row[v] .. row[v + 1] */
+/* the graph's in-neighbours, in the kernel's numbering: on at most 64
+   vertices, inmask[v] holds those of v; on more, row v holds them as
+   entries (row_word[r], row_bits[r]) for r in row[v] .. row[v + 1] */
 struct graph {
     int32_t nv, nw;
+    word *inmask;
     int32_t *row, *row_word;
     word *row_bits;
 };
@@ -105,14 +120,48 @@ static struct flow flow_at(const struct graph *g, void *block)
     return f;
 }
 
-/* the state of one reverse search: reached in-nodes and out-nodes, the
-   frontiers with the list of their nonzero words, the vertices whose
-   in-nodes are wanted, and each reached out-node's pointer (a vertex u:
-   toward in(u)) */
+/* the state of the multi-word search: reached in-nodes and out-nodes,
+   and the frontiers with the list of their nonzero words */
 struct search {
-    word *seen_in, *seen_out, *next_in, *next_out, *want;
-    int32_t *in_words, *out_words, *ptr;
+    word *seen_in, *seen_out, *next_in, *next_out;
+    int32_t *in_words, *out_words;
 };
+
+/* reverse search from the sink over the residual network of f on a graph
+   of at most 64 vertices, level by level, until every candidate in want
+   is reached or nothing more is; returns the reached candidates. Each
+   reached out-node's pointer (a vertex u: toward in(u)) goes to ptr
+   unless ptr is NULL. */
+static word search1(const struct graph *g, struct flow f, word want, int32_t *ptr)
+{
+    const word *inmask = g->inmask;
+    word on = f.on[0], seen_in = 0, seen_out = f.free[0], next_out = seen_out;
+    while (next_out) {
+        /* in(v) <- out(v) off every path, in(succ[v]) <- out(v) on one */
+        word next_in = next_out & ~on;
+        for (word y = next_out & on; y; y &= y - 1) {
+            int32_t w = f.succ[__builtin_ctzll(y)];
+            if (w >= 0)
+                next_in |= BIT(w);
+        }
+        next_in &= ~seen_in;
+        seen_in |= next_in;
+        if (!(want & ~seen_in))
+            break;
+        /* out(v) <- in(v) on a path, out(u) <- in(v) for each arc u -> v */
+        next_out = 0;
+        for (; next_in; next_in &= next_in - 1) {
+            int32_t v = __builtin_ctzll(next_in);
+            word b = (inmask[v] | (on & BIT(v))) & ~seen_out;
+            seen_out |= b;
+            next_out |= b;
+            if (ptr)
+                for (; b; b &= b - 1)
+                    ptr[__builtin_ctzll(b)] = v;
+        }
+    }
+    return seen_in & want;
+}
 
 /* mark the bits b of word i reached in seen and in the frontier next,
    listing i in words if it was empty there; returns the new bits */
@@ -129,40 +178,34 @@ static inline word reach(word *seen, word *next, int32_t *words, int32_t *count,
     return b;
 }
 
-/* reverse search from the sink over the residual network of f, level by
-   level, until the left wanted in-nodes are all reached or nothing more
-   is */
-static void search(const struct graph *g, const struct search *s, struct flow f,
-                   int32_t left)
+/* search1 on a graph of any size, over bitsets of nw words */
+static word search(const struct graph *g, const struct search *s, struct flow f,
+                   word want, int32_t *ptr)
 {
     word *seen_in = s->seen_in, *seen_out = s->seen_out;
     word *next_in = s->next_in, *next_out = s->next_out;
-    const word *want = s->want;
-    int32_t *in_words = s->in_words, *out_words = s->out_words, *ptr = s->ptr;
+    int32_t *in_words = s->in_words, *out_words = s->out_words;
     int32_t nw = g->nw, n_in, n_out = 0;
     memset(seen_in, 0, 4 * (size_t)nw * sizeof(word)); /* and the frontiers */
     for (int32_t i = 0; i < nw; i++)
         if ((seen_out[i] = next_out[i] = f.free[i]))
             out_words[n_out++] = i;
-    while (left && n_out) {
+    while (n_out) {
         /* in(v) <- out(v) off every path, in(succ[v]) <- out(v) on one */
         n_in = 0;
         for (int32_t k = 0; k < n_out; k++) {
             int32_t i = out_words[k];
             word x = next_out[i];
             next_out[i] = 0;
-            word b = reach(seen_in, next_in, in_words, &n_in, i, x & ~f.on[i]);
-            left -= __builtin_popcountll(b & want[i]);
+            reach(seen_in, next_in, in_words, &n_in, i, x & ~f.on[i]);
             for (word y = x & f.on[i]; y; y &= y - 1) {
                 int32_t w = f.succ[64 * i + __builtin_ctzll(y)];
-                if (w >= 0) {
-                    b = reach(seen_in, next_in, in_words, &n_in, w >> 6, BIT(w));
-                    left -= __builtin_popcountll(b & want[w >> 6]);
-                }
+                if (w >= 0)
+                    reach(seen_in, next_in, in_words, &n_in, w >> 6, BIT(w));
             }
         }
-        if (!left)
-            return;
+        if (!(want & ~seen_in[0]))
+            break;
         /* out(v) <- in(v) on a path, out(u) <- in(v) for each arc u -> v */
         n_out = 0;
         for (int32_t k = 0; k < n_in; k++) {
@@ -171,17 +214,28 @@ static void search(const struct graph *g, const struct search *s, struct flow f,
             next_in[i] = 0;
             for (; x; x &= x - 1) {
                 int32_t v = 64 * i + __builtin_ctzll(x);
-                if (HAS(f.on, v) && reach(seen_out, next_out, out_words, &n_out, i, BIT(v)))
+                if (HAS(f.on, v) && reach(seen_out, next_out, out_words, &n_out, i, BIT(v)) &&
+                    ptr)
                     ptr[v] = v;
                 for (int32_t r = g->row[v]; r < g->row[v + 1]; r++) {
                     int32_t j = g->row_word[r];
                     word b = reach(seen_out, next_out, out_words, &n_out, j, g->row_bits[r]);
-                    for (; b; b &= b - 1)
-                        ptr[64 * j + __builtin_ctzll(b)] = v;
+                    if (ptr)
+                        for (; b; b &= b - 1)
+                            ptr[64 * j + __builtin_ctzll(b)] = v;
                 }
             }
         }
     }
+    return seen_in[0] & want;
+}
+
+/* the candidates in want that one search of f reaches, by the search
+   that fits the graph */
+static word extensions(const struct graph *g, const struct search *s, struct flow f,
+                       word want, int32_t *ptr)
+{
+    return g->inmask ? search1(g, f, want, ptr) : search(g, s, f, want, ptr);
 }
 
 /* push one unit from the source into in(e) and along the search's
@@ -222,9 +276,9 @@ static void walk(struct flow f, const int32_t *ptr, int32_t e)
 }
 
 /* grow the linked sets depth first from the empty set (_grow_linked) */
-static int grow(const struct graph *g, struct search *s, const void *empty,
-                int32_t n, const int32_t *ground, int32_t rank,
-                const uint8_t *expected, uint8_t *indep, int64_t *stats)
+static int grow(const struct graph *g, const struct search *s, int32_t *ptr,
+                const void *empty, int32_t n, int32_t rank, const uint8_t *expected,
+                uint8_t *indep, int64_t *stats)
 {
     size_t bytes = flow_bytes(g);
     /* a searched set pushes at most n - 1 children, one level deeper */
@@ -252,32 +306,29 @@ static int grow(const struct graph *g, struct search *s, const void *empty,
         searches++;
         uint32_t parent = masks[top], cand = cands[top];
         int32_t size = sizes[top];
+        int leaves = size + 1 == rank;
         memcpy(work, flows + top * bytes, bytes);
 
-        for (uint32_t c = cand; c; c &= c - 1) {
-            int32_t v = ground[__builtin_ctz(c)];
-            s->want[v >> 6] |= BIT(v);
-        }
-        search(g, s, flow_at(g, work), __builtin_popcount(cand));
-        uint32_t reached = 0, hits = 0;
-        for (uint32_t c = cand; c; c &= c - 1) {
-            int32_t e = __builtin_ctz(c), v = ground[e];
-            s->want[v >> 6] = 0;
-            reached |= (uint32_t)HAS(s->seen_in, v) << e;
-            if (expected)
+        uint32_t reached =
+            (uint32_t)extensions(g, s, flow_at(g, work), cand, leaves ? NULL : ptr);
+        if (expected) {
+            uint32_t hits = 0;
+            for (uint32_t c = cand; c; c &= c - 1) {
+                int32_t e = __builtin_ctz(c);
                 hits |= (uint32_t)expected[parent | UINT32_C(1) << e] << e;
-        }
-        if (expected && hits != reached) {
-            uint32_t first = hits ^ reached;
-            stats[1] = parent | (first & -first);
-            status = LINKAGE_MISMATCH;
-            goto done;
+            }
+            if (hits != reached) {
+                uint32_t first = hits ^ reached;
+                stats[1] = parent | (first & -first);
+                status = LINKAGE_MISMATCH;
+                goto done;
+            }
         }
 
         if (indep)
             for (uint32_t c = reached; c; c &= c - 1)
                 indep[parent | UINT32_C(1) << __builtin_ctz(c)] = 1;
-        if (size + 1 == rank)
+        if (leaves)
             continue;
         for (uint32_t c = reached & (reached - 1); c; c &= c - 1) {
             int32_t e = __builtin_ctz(c);
@@ -286,7 +337,7 @@ static int grow(const struct graph *g, struct search *s, const void *empty,
                 goto done;
             }
             memcpy(flows + top * bytes, work, bytes);
-            walk(flow_at(g, flows + top * bytes), s->ptr, ground[e]);
+            walk(flow_at(g, flows + top * bytes), ptr, e);
             masks[top] = parent | UINT32_C(1) << e;
             sizes[top] = size + 1;
             cands[top] = reached & ((UINT32_C(1) << e) - 1);
@@ -304,10 +355,22 @@ done:
     return status;
 }
 
-/* the in-neighbour rows of the arcs, without self-loops or repeats */
-static int build_rows(struct graph *g, int32_t n_arcs, const int32_t *arcs)
+/* the in-neighbours of the arcs in the kernel's numbering, without
+   self-loops or repeats: one word per vertex on at most 64 vertices,
+   else rows */
+static int build_graph(struct graph *g, int32_t n_arcs, const int32_t *arcs,
+                       const int32_t *number)
 {
     int32_t nv = g->nv;
+    if (nv <= 64) {
+        g->inmask = calloc((size_t)nv + 1, sizeof *g->inmask);
+        if (!g->inmask)
+            return 0;
+        for (int32_t j = 0; j < n_arcs; j++)
+            if (arcs[2 * j] != arcs[2 * j + 1])
+                g->inmask[number[arcs[2 * j + 1]]] |= BIT(number[arcs[2 * j]]);
+        return 1;
+    }
     int32_t *start = calloc((size_t)nv + 1, sizeof *start);
     int32_t *tails = malloc(((size_t)n_arcs + 1) * sizeof *tails);
     word *bits = calloc((size_t)g->nw + 1, sizeof *bits);
@@ -319,12 +382,12 @@ static int build_rows(struct graph *g, int32_t n_arcs, const int32_t *arcs)
         /* the tails grouped by head, then merged word by word */
         for (int32_t j = 0; j < n_arcs; j++)
             if (arcs[2 * j] != arcs[2 * j + 1])
-                start[arcs[2 * j + 1]]++;
+                start[number[arcs[2 * j + 1]]]++;
         for (int32_t v = 1; v <= nv; v++)
             start[v] += start[v - 1];
         for (int32_t j = 0; j < n_arcs; j++)
             if (arcs[2 * j] != arcs[2 * j + 1])
-                tails[--start[arcs[2 * j + 1]]] = arcs[2 * j];
+                tails[--start[number[arcs[2 * j + 1]]]] = number[arcs[2 * j]];
         int32_t r = 0;
         for (int32_t v = 0; v < nv; v++) {
             g->row[v] = r;
@@ -362,65 +425,65 @@ int linkage_independence(int32_t n_vertices, int32_t n_arcs, const int32_t *arcs
             return LINKAGE_BAD_INPUT;
 
     int32_t nv = n_vertices, nw = (nv + 63) / 64;
-    struct graph g = {nv, nw, NULL, NULL, NULL};
-    struct search s = {0};
-    int32_t *element = malloc(((size_t)nv + 1) * sizeof *element);
-    word *sets = calloc(5 * (size_t)nw + 1, sizeof *sets);
+    struct graph g = {nv, nw, NULL, NULL, NULL, NULL};
+    struct search s;
+    int32_t *number = malloc(((size_t)nv + 1) * sizeof *number);
+    word *sets = calloc(4 * (size_t)nw + 1, sizeof *sets);
     int32_t *ints = malloc((2 * (size_t)nw + nv + 1) * sizeof *ints);
     void *empty = malloc(flow_bytes(&g) + 1);
     void *routed_flow = malloc(flow_bytes(&g) + 1);
     int status = LINKAGE_NO_MEMORY;
-    if (!element || !sets || !ints || !empty || !routed_flow)
+    if (!number || !sets || !ints || !empty || !routed_flow)
         goto done;
     s.seen_in = sets; /* seen_in .. next_out are cleared as one block */
     s.seen_out = sets + nw;
     s.next_in = sets + 2 * nw;
     s.next_out = sets + 3 * nw;
-    s.want = sets + 4 * nw;
     s.in_words = ints;
     s.out_words = ints + nw;
-    s.ptr = ints + 2 * nw;
+    int32_t *ptr = ints + 2 * nw;
 
-    /* element[v]: the ground element at vertex v, or -1 */
+    /* number[v]: the kernel's vertex for the caller's vertex v, ground
+       first */
+    status = LINKAGE_BAD_INPUT;
+    for (int32_t v = 0; v < nv; v++)
+        number[v] = -1;
+    for (int32_t e = 0; e < n; e++) {
+        if (ground[e] < 0 || ground[e] >= nv || number[ground[e]] != -1)
+            goto done;
+        number[ground[e]] = e;
+    }
+    for (int32_t v = 0, next = n; v < nv; v++)
+        if (number[v] == -1)
+            number[v] = next++;
     struct flow f = flow_at(&g, empty);
     memset(empty, 0, flow_bytes(&g));
     memset(f.succ, 0xff, 2 * (size_t)nv * sizeof *f.succ); /* succ, pred: -1 */
-    status = LINKAGE_BAD_INPUT;
-    for (int32_t v = 0; v < nv; v++)
-        element[v] = -1;
-    for (int32_t e = 0; e < n; e++) {
-        if (ground[e] < 0 || ground[e] >= nv || element[ground[e]] != -1)
-            goto done;
-        element[ground[e]] = e;
-    }
     for (int32_t t = 0; t < n_targets; t++) {
-        if (targets[t] < 0 || targets[t] >= nv || HAS(f.free, targets[t]))
+        if (targets[t] < 0 || targets[t] >= nv || HAS(f.free, number[targets[t]]))
             goto done;
-        f.free[targets[t] >> 6] |= BIT(targets[t]);
+        f.free[number[targets[t]] >> 6] |= BIT(number[targets[t]]);
     }
 
     status = LINKAGE_NO_MEMORY;
-    if (!build_rows(&g, n_arcs, arcs))
+    if (!build_graph(&g, n_arcs, arcs, number))
         goto done;
 
-    /* route the rank: each ground vertex in vertex order takes a path if
-       its in-node reaches the sink; the routed ones form a maximum linked
-       set R */
+    /* route the rank: each ground vertex in the caller's vertex order
+       takes a path if its in-node reaches the sink; the routed ones form
+       a maximum linked set R */
     memcpy(routed_flow, empty, flow_bytes(&g));
     f = flow_at(&g, routed_flow);
     int32_t rank = 0;
     uint32_t routed = 0;
-    for (int32_t v = 0; v < nv; v++)
-        if (element[v] != -1) {
-            s.want[v >> 6] = BIT(v);
-            search(&g, &s, f, 1);
-            s.want[v >> 6] = 0;
-            if (HAS(s.seen_in, v)) {
-                walk(f, s.ptr, v);
-                routed |= UINT32_C(1) << element[v];
-                rank++;
-            }
+    for (int32_t v = 0; v < nv; v++) {
+        int32_t e = number[v];
+        if (e < n && extensions(&g, &s, f, BIT(e), ptr)) {
+            walk(f, ptr, e);
+            routed |= UINT32_C(1) << e;
+            rank++;
         }
+    }
 
     status = LINKAGE_MISMATCH;
     if (expected) {
@@ -435,14 +498,14 @@ int linkage_independence(int32_t n_vertices, int32_t n_arcs, const int32_t *arcs
                 goto done;
             }
     }
-    status = rank ? grow(&g, &s, empty, n, ground, rank, expected, indep, stats)
-                  : LINKAGE_OK;
+    status = rank ? grow(&g, &s, ptr, empty, n, rank, expected, indep, stats) : LINKAGE_OK;
 
 done:
+    free(g.inmask);
     free(g.row);
     free(g.row_word);
     free(g.row_bits);
-    free(element);
+    free(number);
     free(sets);
     free(ints);
     free(empty);

@@ -20,10 +20,16 @@ a copy plus a walk along that path.
 That enumeration runs in a small C kernel, ``_linkage.c`` beside this
 file, called through ``ctypes`` once per enumeration. It receives the
 query itself as int32 arrays (vertex count, arc tails and heads, ground
-and target indices). It builds no split network: a flow is each
+and target indices) and numbers the vertices ground first, so every set
+of candidates is one 64-bit word; it still routes the rank in the
+caller's vertex order. It builds no split network: a flow is each
 vertex's successor and predecessor on its path plus two vertex bitsets,
 and the reverse search reads the residual arcs off that state, level by
-level over 64-vertex words. Given the independent sets of a matroid
+level. On a graph of at most 64 vertices the search keeps each vertex
+set in one word and each vertex's in-neighbours in one word; on a larger
+one it runs over bitsets of 64-vertex words with sparse in-neighbour
+rows. A search whose extensions all have full rank records no path,
+since none is followed. Given the independent sets of a matroid
 instead of an array to fill, it compares the linked sets with them and
 stops at the first difference, so a record that does not present its
 minor costs at most one search per independent set of the minor
@@ -537,7 +543,12 @@ def _grow_linked_c(
     expected: np.ndarray | None,
     indep: np.ndarray | None,
 ) -> tuple[int, int]:
-    """:func:`_grow_linked` through the C kernel, which takes the graph as index arrays."""
+    """:func:`_grow_linked` through the C kernel, which takes the graph as index arrays.
+
+    The arrays use the graph's vertex order; the kernel renumbers the
+    ground first inside, and picks its one-word search for graphs of at
+    most 64 vertices, without changing any result.
+    """
     idx = graph.index
     n = len(ground)
     for table in (expected, indep):

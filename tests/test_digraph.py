@@ -33,14 +33,6 @@ from gammoids.errors import GraphTooLarge, GroundSetTooLarge, NotStrict
 from gammoids.matroid import Matroid, _popcounts
 
 
-def both_engines(p: Presentation, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
-    args = (p.graph, p.ground, p.targets)
-    kernel = digraph._linkage_independence(*args)
-    with monkeypatch.context() as m:
-        m.setattr(digraph, "_KERNEL", None)
-        return kernel, digraph._linkage_independence(*args)
-
-
 def plain_linkage_matroid(p: Presentation) -> Matroid:
     """Route every subset from scratch: no warm starts, no short-cuts."""
     return Matroid.from_independence_oracle(
@@ -413,6 +405,30 @@ def multiword_cases():
             yield Presentation(Digraph(vertices, arcs), rng.sample(vertices, n), targets)
 
 
+PADDED_SIZES = (65, 129)
+
+
+def kernel_variants(cases):
+    """Copies of small presentations that take the kernel's other paths.
+
+    Each presentation comes back padded with isolated vertices, neither
+    ground nor targets, to every size in PADDED_SIZES, so that its linked
+    family goes through the multi-word search as well as the one-word
+    one; the originals keep their order among the padding. Then it comes
+    back with its ground listed in a shuffled order, which the kernel
+    numbers first but must still route in vertex order.
+    """
+    rng = random.Random(0x9AD5)
+    for p in cases:
+        vertices = p.graph.vertices
+        for size in PADDED_SIZES:
+            padded = [f"pad{i}" for i in range(size)]
+            for slot, v in zip(sorted(rng.sample(range(size), len(vertices))), vertices):
+                padded[slot] = v
+            yield Presentation(Digraph(padded, p.graph.arcs), p.ground, p.targets)
+        yield p.with_ground(rng.sample(p.ground, len(p.ground)))
+
+
 def engines_agree(kernel, cases) -> int:
     """Assert that ``kernel`` and the Python engine agree in both modes.
 
@@ -461,12 +477,11 @@ def call_kernel(n_vertices, arcs, ground, targets, expected=None):
 class TestKernel:
     """The C kernel marks exactly the sets the Python enumeration marks."""
 
-    def test_random_presentations(self, monkeypatch):
+    def test_random_presentations(self):
         rng = random.Random(0xC0DE)
-        for _ in range(500):
-            p = random_presentation(rng, max_vertices=10)
-            kernel, python = both_engines(p, monkeypatch)
-            assert np.array_equal(kernel, python), p
+        small = [random_presentation(rng, max_vertices=10) for _ in range(500)]
+        cases = chain(small, kernel_variants(small))
+        assert engines_agree(digraph._KERNEL, cases) == (len(PADDED_SIZES) + 2) * len(small)
 
     def test_every_rank3_materialization(self, monkeypatch):
         seen = []
@@ -481,9 +496,7 @@ class TestKernel:
             cert = certify(construct(parse_presentation(RANK3_DOC)))
             verify_certificate(cert)
         assert len(seen) > 50 and max(len(p.ground) for p in seen) == 14
-        for p in seen:
-            kernel, python = both_engines(p, monkeypatch)
-            assert np.array_equal(kernel, python), p
+        assert engines_agree(digraph._KERNEL, seen) == len(seen)
 
     def test_inconsistent_network_is_refused(self):
         # vertices a, b; arc a -> b; ground a, b; target b
@@ -613,14 +626,14 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[2])
 from gammoids import digraph
 from gammoids.corpus import random_presentation
-from test_digraph import engines_agree, multiword_cases
+from test_digraph import engines_agree, kernel_variants, multiword_cases
 try:
     kernel = digraph._bind(Path(sys.argv[1]))
 except OSError as exc:
     sys.exit(f"unloadable: {exc}")
 rng = random.Random(0x0B5A)
 small = [random_presentation(rng, max_vertices=10) for _ in range(200)]
-print(engines_agree(kernel, chain(multiword_cases(), small)))
+print(engines_agree(kernel, chain(multiword_cases(), small, kernel_variants(small))))
 """
 
 
@@ -669,7 +682,7 @@ class TestKernelBuild:
         if done.stderr.startswith("unloadable"):
             pytest.skip(f"the sanitized kernel does not load: {done.stderr[:300]}")
         assert done.returncode == 0, done.stderr[-2000:]
-        assert int(done.stdout) == 4 * len(MULTIWORD_SIZES) + 200
+        assert int(done.stdout) == 4 * len(MULTIWORD_SIZES) + (len(PADDED_SIZES) + 2) * 200
 
     @requires_kernel
     def test_cold_cache_compiles_once(self, tmp_path):
