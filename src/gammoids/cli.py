@@ -46,8 +46,11 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_json(path: str) -> object:
@@ -122,9 +125,9 @@ def build(input_path: str, output_path: str, jobs: int, max_elements: int) -> No
         cert = certify(bundle, jobs=jobs)
         # a record past the graph caps that verify enforces is refused here
         text = certificate_to_json(cert)
+        _write_text(output_path, text)
     except GammoidError as exc:
         _fail(exc)
-    _write_text(output_path, text)
     _say(_report(bundle, cert))
     sys.exit(EXIT_OK)
 

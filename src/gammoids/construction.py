@@ -129,13 +129,11 @@ def _build_apexed(
     _fresh(rebased.graph, APEXES)
     _fresh(rebased.graph, primes.values())
     graph = rebased.graph.relabeled(primes)
-    _fresh(graph, s_own)
-    graph = graph.with_vertices(list(s_own) + list(APEXES))
     v_own, v_far = APEXES[i - 1], APEXES[2 - i]
     arcs = [(x, primes[x]) for x in s_own]
     arcs += [(x, v_own) for x in s_own]
     arcs += [(y, v_far) for y in s_far]
-    graph = graph.with_arcs(arcs)
+    graph = graph.extended(s_own + APEXES, arcs)
     return Presentation(graph, rebased.ground + APEXES, tuple(primes.values()) + APEXES)
 
 
@@ -146,10 +144,8 @@ def _build_gadget(
     target_copy = apexed.targets[:-2]  # the primed copies of this side's basis
     exit_v, collect_c, collect_d = f"w#{i}", f"c#{i}", f"d#{i}"
     v_own, v_far = APEXES[i - 1], APEXES[2 - i]
-    _fresh(apexed.graph, (exit_v, collect_c, collect_d) + block_c + block_d)
-    graph = apexed.graph.with_vertices(
-        [exit_v, collect_c, collect_d, *block_c, *block_d]
-    )
+    new = (exit_v, collect_c, collect_d) + block_c + block_d
+    _fresh(apexed.graph, new)
     arcs = [
         (collect_c, exit_v),
         (collect_c, v_far),
@@ -162,9 +158,8 @@ def _build_gadget(
     for x in block_d:
         arcs.append((x, collect_d))
         arcs += [(x, t) for t in target_copy]
-    graph = graph.with_arcs(arcs)
     return Presentation(
-        graph,
+        apexed.graph.extended(new, arcs),
         apexed.ground + block_c + block_d,
         target_copy + APEXES + (exit_v,),
     )
@@ -172,7 +167,7 @@ def _build_gadget(
 
 def _build_bypass(gadget: Presentation, block_c: tuple[str, ...], i: int) -> Presentation:
     v_far = APEXES[2 - i]
-    graph = gadget.graph.with_arcs([(x, v_far) for x in block_c])
+    graph = gadget.graph.extended((), [(x, v_far) for x in block_c])
     return Presentation(graph, gadget.ground, gadget.targets)
 
 

@@ -6,9 +6,11 @@ lying in both X and T may serve as its own single-vertex path. Linkings
 are computed by max-flow on the vertex-split network: each vertex becomes
 an in/out pair joined by a unit-capacity internal arc, graph arcs get
 capacity 1 (the unit vertex capacities bound their flow anyway), and a
-super-source/super-sink attach outside the splitting. Sources are routed
-one at a time in index order, each by one reverse BFS from the sink that
-scans arcs in a fixed order, so every result is deterministic.
+super-sink attaches outside the splitting; a source's unit starts at its
+in-node, with no super-source. Sources are routed one at a time in the
+order given (:func:`max_linking` gives vertex-index order), each by one
+reverse BFS from the sink that scans arcs in a fixed order, so every
+result is deterministic.
 
 A linkage matroid is materialized by growing linked sets one element at
 a time. One reverse BFS from the sink over the residual network of a
@@ -159,11 +161,9 @@ class Digraph:
     def out_neighbors(self, v: str) -> tuple[str, ...]:
         return tuple(self.vertices[w] for w in self._out[self.index[v]])
 
-    def with_vertices(self, new: Iterable[str]) -> "Digraph":
-        return Digraph(self.vertices + tuple(new), self.arcs)
-
-    def with_arcs(self, extra: Iterable[Sequence[str]]) -> "Digraph":
-        return Digraph(self.vertices, list(self.arcs) + [tuple(a) for a in extra])
+    def extended(self, vertices: Iterable[str], arcs: Iterable[Sequence[str]]) -> "Digraph":
+        """This graph with ``vertices`` appended and ``arcs`` added, built once."""
+        return Digraph(self.vertices + tuple(vertices), chain(self.arcs, arcs))
 
     def without_vertex(self, v: str) -> "Digraph":
         if v not in self.index:
@@ -259,46 +259,41 @@ class Presentation:
 class _FlowNetwork:
     """Unit-vertex-capacity flow network for one (graph, targets) pair.
 
-    It serves :func:`max_linking` (so :func:`is_linked`) and the Python
-    engine, with one search, :meth:`sink_tree`, and one walk,
-    :meth:`push`. The C kernel builds no such network: it searches the
+    It serves :func:`max_linking` (so :func:`is_linked`), the strict
+    lift in ``surgery.retarget`` and the Python engine, with one search,
+    :meth:`sink_tree`, and one walk, :meth:`push`. The C kernel builds no such network: it searches the
     same residual arcs from a per-vertex record of the flow.
 
-    Node numbering: vertex i splits into in-node 2i and out-node 2i+1;
-    the super-source and super-sink sit at 2n and 2n+1. Arc k and its
-    residual twin are stored at positions 2k and 2k+1 of the capacity
-    array, so one bytearray fully describes a flow state.
+    Node numbering: vertex i splits into in-node 2i and out-node 2i+1,
+    and the super-sink sits at 2n; there is no source node. Arc k and
+    its residual twin are stored at positions 2k and 2k+1 of the
+    capacity array, so one bytearray and the routed sources describe a flow.
     """
 
     def __init__(self, graph: Digraph, targets: Iterable[str]):
         idx = graph.index
         n = len(graph.vertices)
-        self.src = 2 * n
-        self.snk = 2 * n + 1
-        self.n_nodes = 2 * n + 2
+        self.snk = 2 * n
+        self.n_nodes = 2 * n + 1
         heads: list[int] = []
         caps = bytearray()
         adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
 
-        def add(u: int, v: int, c: int) -> int:
+        def add(u: int, v: int) -> None:  # a unit arc and its empty residual twin
             a = len(heads)
             heads.append(v)
-            caps.append(c)
+            caps.append(1)
             adj[u].append(a)
             heads.append(u)
             caps.append(0)
             adj[v].append(a + 1)
-            return a
 
-        # source arcs for every vertex, never opened: a pushed unit only
-        # sets the residual twin, so no search reaches the source
-        self.src_arc = [add(self.src, 2 * i, 0) for i in range(n)]
         for i in range(n):
-            add(2 * i, 2 * i + 1, 1)
+            add(2 * i, 2 * i + 1)
         for u, v in graph.arcs:
-            add(2 * idx[u] + 1, 2 * idx[v], 1)
+            add(2 * idx[u] + 1, 2 * idx[v])
         for t in sorted(targets, key=idx.__getitem__):
-            add(2 * idx[t] + 1, self.snk, 1)
+            add(2 * idx[t] + 1, self.snk)
         self.heads = heads
         self.base = bytes(caps)
         self.adj = adj
@@ -336,14 +331,8 @@ class _FlowNetwork:
         return toward
 
     def push(self, caps: bytearray, toward: list[int], i: int) -> None:
-        """Send one unit from the source into vertex i and on to the sink.
-
-        The unit follows ``toward``, a :meth:`sink_tree` that reached the
-        in-node of vertex i. Only the residual twin of i's source arc is
-        set, so no search ever reaches the source.
-        """
+        """Send one unit from the in-node of vertex i to the sink along ``toward``."""
         heads = self.heads
-        caps[self.src_arc[i] ^ 1] = 1
         v = 2 * i
         while v != self.snk:
             a = toward[v]
@@ -351,50 +340,52 @@ class _FlowNetwork:
             caps[a ^ 1] += 1
             v = heads[a]
 
-    def route(self, caps: bytearray, source_indices: Iterable[int]) -> int:
-        """Route the given sources in index order; return how many were routed.
+    def route(self, caps: bytearray, source_indices: Iterable[int]) -> list[int]:
+        """Route the given sources in the order given; return those routed, in that order.
 
         Each source gets one reverse search from the sink and, if its
         in-node is reached, a push along that search's tree. Routing a
         source never unroutes another, so the routed sources are the
-        greedy basis in index order.
+        greedy basis in the order given.
         """
-        pushed = 0
-        for i in sorted(source_indices):
+        routed = []
+        for i in source_indices:
             toward = self.sink_tree(caps, {2 * i})
             if toward[2 * i] != -1:
                 self.push(caps, toward, i)
-                pushed += 1
-        return pushed
+                routed.append(i)
+        return routed
 
-    def linking_paths(self, caps: bytearray, graph: Digraph) -> list[tuple[str, ...]]:
+    def linking_paths(
+        self, caps: bytearray, graph: Digraph, routed: Iterable[int]
+    ) -> list[tuple[str, ...]]:
+        """The path of each routed source's unit, in the order given."""
         heads = self.heads
-        base = self.base
         verts = graph.vertices
         paths = []
-        for i, a in enumerate(self.src_arc):
-            if caps[a ^ 1]:  # a unit entered vertex i from the source
-                path = [verts[i]]
-                node = i
-                while True:
-                    nxt = -1
-                    for b in self.adj[2 * node + 1]:
-                        if b % 2 == 0 and caps[b ^ 1]:
-                            nxt = b
-                            break
-                    assert nxt >= 0, "flow decomposition lost a unit"
-                    if heads[nxt] == self.snk:
+        for i in routed:
+            path = [verts[i]]
+            node = i
+            while True:
+                nxt = -1
+                for b in self.adj[2 * node + 1]:
+                    if b % 2 == 0 and caps[b ^ 1]:
+                        nxt = b
                         break
-                    node = heads[nxt] // 2
-                    path.append(verts[node])
-                paths.append(tuple(path))
+                assert nxt >= 0, "flow decomposition lost a unit"
+                if heads[nxt] == self.snk:
+                    break
+                node = heads[nxt] // 2
+                path.append(verts[node])
+            paths.append(tuple(path))
         return paths
 
 
-def _linking_network(
-    graph: Digraph, sources: Iterable[str], targets: Iterable[str]
-) -> tuple[_FlowNetwork, bytearray, int]:
-    """Route ``sources`` into ``targets``: the network, its flow and the count routed."""
+def max_linking(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) -> Linking:
+    """A maximum family of vertex-disjoint paths from ``sources`` into ``targets``.
+
+    Sources are routed greedily in vertex-index order.
+    """
     idx = graph.index
     sources, targets = tuple(sources), tuple(targets)
     for name, part in (("source", sources), ("target", targets)):
@@ -403,19 +394,14 @@ def _linking_network(
                 raise ValueError(f"{name} {reprlib.repr(v)} is not a vertex")
     net = _FlowNetwork(graph, targets)
     caps = net.fresh()
-    return net, caps, net.route(caps, [idx[v] for v in sources])
-
-
-def max_linking(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) -> Linking:
-    """A maximum family of vertex-disjoint paths from ``sources`` into ``targets``."""
-    net, caps, _ = _linking_network(graph, sources, targets)
-    return Linking(tuple(net.linking_paths(caps, graph)))
+    routed = net.route(caps, sorted(map(idx.__getitem__, sources)))
+    return Linking(tuple(net.linking_paths(caps, graph, routed)))
 
 
 def is_linked(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) -> bool:
     """Whether every source is linked into ``targets`` by disjoint paths."""
     sources = tuple(sources)
-    return _linking_network(graph, sources, targets)[2] == len(sources)
+    return max_linking(graph, sources, targets).size == len(sources)
 
 
 class _Comparison(NamedTuple):
@@ -438,9 +424,8 @@ def _linkage_independence(
     linked. Linked sets are then grown depth first, one element at a
     time, from a maximum flow of each. For a linked set I with flow f,
     I + e is linked iff the in-node of e reaches the sink in the
-    residual network of f (the source has no residual out-arc: every
-    open source arc is saturated), so one reverse search from the sink
-    decides every one-element extension of I, and its tree holds each
+    residual network of f, so one reverse search from the sink decides
+    every one-element extension of I, and its tree holds each
     extension's augmenting path. An extension's flow is f plus a walk
     along that path, with no search of its own.
 
@@ -498,11 +483,11 @@ def _grow_linked(
     n = len(ground)
     vertex = [idx[g] for g in ground]
     in_node = [2 * v for v in vertex]
-    routed = net.fresh()
-    rank = net.route(routed, vertex)
+    routed = set(net.route(net.fresh(), sorted(vertex)))
+    rank = len(routed)
     if expected is not None:
         expected = expected.tobytes()  # bytes index to ints, fast in a loop
-        basis = sum(1 << e for e in range(n) if routed[net.src_arc[vertex[e]] ^ 1])
+        basis = sum(1 << e for e in range(n) if vertex[e] in routed)
         if not expected[basis]:
             return 0, basis
         for e in range(n):

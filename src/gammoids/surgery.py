@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, Presentation, dual_transversal_parts, is_linked, kuhn_matching
+from . import digraph
+from .digraph import Digraph, Presentation, dual_transversal_parts, kuhn_matching
 from .errors import (
     GroundSetTooLarge,
     IsLoop,
@@ -75,19 +76,19 @@ def retarget(p: Presentation, basis) -> Presentation:
     idx = graph.index
     targets = p.targets
 
-    # extend to a basis of the strict lift, in vertex order; its rank is
-    # |T| (each target is its own one-vertex path), and the ground set is
-    # already spanned by the basis, so extensions stay outside it
-    lift_rank = len(targets)
-    t_prime = sorted(bset, key=idx.__getitem__)
-    for v in verts:
-        if len(t_prime) == lift_rank:
-            break
-        if v not in bset and is_linked(graph, t_prime + [v], targets):
-            t_prime.append(v)
-    if len(t_prime) != lift_rank:
-        raise RetargetFailed("could not extend the basis through the strict lift")
-    tp = set(t_prime)
+    # extend to a basis of the strict lift on one network, greedily in
+    # vertex order; its rank is |T| (each target is its own one-vertex
+    # path), and the basis spans the ground set, so extensions avoid it
+    extension: set[str] = set()
+    if len(bset) < len(targets):
+        net = digraph._FlowNetwork(graph, targets)
+        order = sorted(map(idx.__getitem__, bset))
+        order += [i for i, v in enumerate(verts) if v not in bset]
+        routed = net.route(net.fresh(), order)
+        if len(routed) != len(targets):
+            raise RetargetFailed("could not extend the basis through the strict lift")
+        extension = {verts[i] for i in routed[len(bset):]}
+    tp = bset | extension
 
     # the lift's dual is a transversal system; each vertex outside the new
     # targets takes arcs to the rest of the part it is matched into
@@ -96,11 +97,11 @@ def retarget(p: Presentation, basis) -> Presentation:
     owners = kuhn_matching(tails, parts)
     if owners is None:
         raise RetargetFailed("dual transversal system admitted no full matching")
-    arcs = [(b, u) for b, part in zip(owners, parts) if b is not None for u in part - {b}]
-    rebuilt = Digraph(verts, arcs)
-    for t in t_prime:
-        if t not in bset:
-            rebuilt = rebuilt.without_vertex(t)
+    # no arc leaves an extension vertex (tails are matched); drop arcs into one
+    arcs = [
+        (b, u) for b, part in zip(owners, parts) if b is not None for u in part - {b} - extension
+    ]
+    rebuilt = Digraph([v for v in verts if v not in extension], arcs)
 
     return Presentation(
         rebuilt,
@@ -140,7 +141,7 @@ def free_extension(p: Presentation, x: str) -> Presentation:
         raise PreconditionViolated("targets must lie inside or outside the ground set")
     if not tset <= gset and len(p.targets) != p.matroid.rank:
         raise PreconditionViolated("target count must equal the rank")
-    graph = p.graph.with_vertices([x]).with_arcs([(x, t) for t in p.targets])
+    graph = p.graph.extended([x], [(x, t) for t in p.targets])
     return Presentation(graph, p.ground + (x,), p.targets)
 
 
@@ -151,7 +152,7 @@ def add_coloop(p: Presentation, x: str) -> Presentation:
     star = "tstar"
     if star in p.graph.index or star == x:
         raise LabelCollision(f"{star!r} already names a vertex")
-    graph = p.graph.with_vertices([x, star]).with_arcs([(x, star)])
+    graph = p.graph.extended([x, star], [(x, star)])
     return Presentation(graph, p.ground + (x,), p.targets + (star,))
 
 
@@ -195,7 +196,7 @@ def two_bases_embedding(p: Presentation) -> TwoBasesEmbedding:
 
     arcs = [(v, t) for v, t in zip(attached, t_labels)]
     arcs += [(u, t) for u in u_labels for t in p.targets]
-    graph = p.graph.with_vertices(t_labels + u_labels).with_arcs(arcs)
+    graph = p.graph.extended(t_labels + u_labels, arcs)
     result = Presentation(
         graph, p.ground + t_labels + u_labels, p.targets + t_labels
     )

@@ -51,6 +51,19 @@ def python_engine(monkeypatch):
     monkeypatch.setattr(digraph, "_KERNEL", None)
 
 
+def record_instances(monkeypatch, cls) -> list:
+    """Record each instance of ``cls`` constructed from now on, in a live list."""
+    made = []
+    init = cls.__init__
+
+    def recording(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    return made
+
+
 def uniform(ground: str, k: int) -> Matroid:
     return Matroid.from_independence_oracle(ground, lambda mask: mask.bit_count() <= k)
 

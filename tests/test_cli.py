@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -354,6 +355,18 @@ def test_hostile_input_is_a_parse_error(runner, tmp_path, command, content, mess
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "name, code", [("missing/cert.json", errno.ENOENT), (".", errno.EISDIR)], ids=["no-dir", "dir"]
+)
+def test_unwritable_output_exits_2(runner, tmp_path, name, code):
+    path = tmp_path / name
+    result = runner.invoke(main, ["build", "-o", str(path)], input=json.dumps(U24_DOC))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"parse error: cannot write {path}: {os.strerror(code)}\n"
+    assert result.stdout == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

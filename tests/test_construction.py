@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, uniform
+from conftest import complete, record_instances, uniform
 from gammoids import certify, construct, construction, digraph, normalize, parse_presentation
 from gammoids.certificate import certificate_to_json, verify_certificate
 from gammoids.construction import APEXES
@@ -123,6 +123,22 @@ class TestClaims:
         with pytest.raises(ClaimFailed) as info:
             construct(parse_presentation(U24_DOC))
         assert info.value.claim == "gadget_matroids_equal"
+
+    def test_each_builder_makes_one_digraph(self, monkeypatch):
+        # the apexed presentation relabels its input first, then builds once
+        made = record_instances(monkeypatch, Digraph)
+        counts = {}
+        for name in ("_build_apexed", "_build_gadget", "_build_bypass"):
+
+            def counted(*args, real=getattr(construction, name), name=name):
+                before = len(made)
+                result = real(*args)
+                counts.setdefault(name, []).append(len(made) - before)
+                return result
+
+            monkeypatch.setattr(construction, name, counted)
+        construct(parse_presentation(RANK3_DOC))
+        assert counts == {"_build_apexed": [2, 2], "_build_gadget": [1, 1], "_build_bypass": [1, 1]}
 
     def test_core_contraction_recovers_base(self, u24_run):
         bundle, _, _ = u24_run

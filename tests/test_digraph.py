@@ -237,7 +237,7 @@ class TestReverseSearch:
         net = _FlowNetwork(self.GRAPH, self.TARGETS)
         idx = self.GRAPH.index
         caps = net.fresh()
-        assert net.route(caps, [idx["a"]]) == 1
+        assert net.route(caps, [idx["a"]]) == [idx["a"]]
         toward = net.sink_tree(caps, {2 * idx["b"]})
         path, v = [], 2 * idx["b"]
         while v != net.snk:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import uniform
+from conftest import record_instances, uniform
 from gammoids import digraph
 from gammoids.corpus import random_presentation
 from gammoids.digraph import Digraph, Presentation, brute_force_linking_oracle, kuhn_matching
@@ -156,6 +156,39 @@ class TestRetargetExtension:
                 cases += 1
                 extended += bool(extension)
         assert extended > 0
+
+
+class TestOneConstruction:
+    """A surgery builds its graph in one Digraph, and the strict lift on one network."""
+
+    def test_each_graph_building_surgery_makes_one_digraph(self, monkeypatch):
+        # materializing the matroids the surgeries read builds no graph
+        pad, attach = u23_presentation(), Presentation(Digraph("ab"), "ab", "")
+        u24 = u24_presentation()
+        builds = [
+            lambda: free_extension(pad, "x"),
+            lambda: add_coloop(pad, "x"),
+            lambda: two_bases_embedding(pad),
+            lambda: two_bases_embedding(attach),
+            lambda: retarget(u24, "cd"),
+        ]
+        for build in builds:
+            made = record_instances(monkeypatch, Digraph)
+            build()
+            monkeypatch.undo()
+            assert len(made) == 1
+
+    def test_retarget_routes_a_two_vertex_extension_on_one_network(self, monkeypatch):
+        # the basis {a, b} is extended through the strict lift by t3 and t4
+        g = Digraph(["a", "b", "t1", "t2", "t3", "t4"], [("a", "t1"), ("b", "t2")])
+        p = Presentation(g, "ab", ["t1", "t2", "t3", "t4"])
+        m = p.matroid  # the Python engine builds a network of its own here
+        networks = record_instances(monkeypatch, digraph._FlowNetwork)
+        graphs = record_instances(monkeypatch, Digraph)
+        q = retarget(p, "ab")
+        assert len(networks) == 1 and len(graphs) == 1
+        assert q.graph.vertices == ("a", "b", "t1", "t2")
+        assert q.targets == ("a", "b") and q.presents(m)
 
 
 class TestContractAny:
