@@ -27,7 +27,6 @@ from typing import Any
 
 import numpy as np
 
-from .construction import CLAIM_NAMES
 from .digraph import Digraph, Presentation
 from .errors import (
     AxiomViolation,
@@ -51,6 +50,20 @@ MAX_ARCS = 2048
 
 _PRESENTATION_KEYS = ("vertices", "arcs", "ground", "targets")
 _CERTIFICATE_KEYS = ("claims", "ingleton", "minors", "recipe", "notes")
+
+# the claims a certificate records, in its order; construct establishes each
+CLAIM_NAMES = (
+    "branch_matroids_equal",
+    "apex_contraction_restores_input",
+    "gadget_circuit_families",
+    "gadget_matroids_equal",
+    "bypass_circuit_families",
+    "relaxed_set_is_circuit_hyperplane",
+    "input_minor_present",
+    "ingleton_violated",
+    "block_minors_gammoid",
+    "side_minors_gammoid",
+)
 
 
 def _string_list(doc: Any, where: str) -> list[str]:

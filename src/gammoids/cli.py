@@ -7,7 +7,9 @@ goes to stderr; certificates are JSON on stdout or the --output path.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import random
 import sys
 from typing import NoReturn
@@ -15,8 +17,8 @@ from typing import NoReturn
 import click
 
 from . import corpus
-from .certificate import certificate_to_json, parse_presentation, verify_certificate
-from .construction import CLAIM_NAMES, Bundle, certify, construct
+from .certificate import CLAIM_NAMES, certificate_to_json, parse_presentation, verify_certificate
+from .construction import Bundle, certify, construct
 from .digraph import transversal_duality_check
 from .errors import (
     GammoidError,
@@ -51,6 +53,20 @@ def _write_text(path: str, text: str) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ParseError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse ``path`` as writing it would, before the build and creating nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ParseError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _load_json(path: str) -> object:
@@ -121,6 +137,8 @@ def build(input_path: str, output_path: str, jobs: int, max_elements: int) -> No
     """Build an excluded-minor certificate from a gammoid presentation."""
     try:
         presentation = parse_presentation(_load_json(input_path))
+        if output_path != "-":
+            _check_writable(output_path)
         bundle = construct(presentation, max_elements=max_elements)
         cert = certify(bundle, jobs=jobs)
         # a record past the graph caps that verify enforces is refused here

@@ -14,7 +14,8 @@ their inputs and build presentations. ``construct`` checks what they
 built through its claims and its recipe check, and the rank axioms of
 its result alone, as linkage tables are matroids by theory. Each fact is
 checked once: the gadget circuit families on branch 1's gadget alone,
-since a claim proves branch 2's gadget matroid equal to it, and the
+since a claim proves branch 2's gadget matroid equal to it, which also
+makes the apexed matroids, the gadgets minus C + D, equal; and the
 Ingleton violation by the ten ranks that fix both of its sides. ``certify``
 compares each record's linked sets with the independent sets of the
 table-level minor it stands for. A failed check raises, so ``certify``
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
+from .certificate import CLAIM_NAMES
 from .digraph import Digraph, Presentation
 from .errors import ClaimFailed, LabelCollision, TooLarge
 from .matroid import MAX_GROUND, IngletonCheck, Matroid
@@ -43,29 +45,6 @@ from .surgery import (
 
 APEXES = ("v#1", "v#2")
 
-CLAIM_NAMES = (
-    "branch_matroids_equal",
-    "apex_contraction_restores_input",
-    "gadget_circuit_families",
-    "gadget_matroids_equal",
-    "bypass_circuit_families",
-    "relaxed_set_is_circuit_hyperplane",
-    "input_minor_present",
-    "ingleton_violated",
-    "block_minors_gammoid",
-    "side_minors_gammoid",
-)
-
-
-def _prime(label: str) -> str:
-    return label + "'"
-
-
-def _fresh(graph: Digraph, labels) -> None:
-    for label in labels:
-        if label in graph.index:
-            raise LabelCollision(f"fresh label {label!r} already names a vertex")
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -73,10 +52,10 @@ class Branch:
 
     Each stage is a presentation; its table is that presentation's cached
     ``matroid``, which ``construct`` materializes while it checks its claims.
+    The branch's apexed matroid is its gadget matroid minus C + D.
     """
 
-    apexed: Presentation           # side basis split off, both apexes attached
-    gadget: Presentation           # blocks C and D, collectors, and exit added
+    gadget: Presentation           # apexed input, blocks C and D, collectors, exit
     bypass: Presentation           # gadget plus arcs from block C to the far apex
 
 
@@ -97,7 +76,7 @@ class Bundle:
     block_c: tuple[str, ...]
     block_d: tuple[str, ...]
     branches: dict[int, Branch]
-    core: Matroid                  # common value of the two apexed matroids
+    core: Matroid                  # the gadget minus C + D: the apexed matroid
     gadget: Matroid                # common value of the two gadget matroids
     result: Matroid                # the excluded minor
     ingleton: IngletonCheck
@@ -117,51 +96,50 @@ def normalize(p: Presentation) -> TwoBasesEmbedding:
     return two_bases_embedding(retarget(p, p.matroid.greedy_basis()))
 
 
-def _build_apexed(
-    rebased: Presentation, s_own: tuple[str, ...], s_far: tuple[str, ...], i: int
+def _build_gadget(
+    rebased: Presentation,
+    s_own: tuple[str, ...],
+    s_far: tuple[str, ...],
+    block_c: tuple[str, ...],
+    block_d: tuple[str, ...],
+    i: int,
 ) -> Presentation:
-    """Split this side's basis through primed copies and attach both apexes.
+    """Build this branch's gadget in one graph.
 
-    The targets are the primed copies, then the two apexes.
+    The copy of ``rebased`` renames this side's basis to primed copies, the
+    targets; the basis comes back as new sources beside the apexes, blocks
+    C and D, their collectors and the exit. The gadget matroid minus C + D
+    is exactly the apexed matroid: the arcs added for the blocks leave a
+    block or a collector, and only those reach the exit.
     """
-    primes = {x: _prime(x) for x in s_own}
-    # before relabeling, which would hide an input vertex named like an apex
-    _fresh(rebased.graph, APEXES)
-    _fresh(rebased.graph, primes.values())
-    graph = rebased.graph.relabeled(primes)
+    primes = {x: x + "'" for x in s_own}
+    copies = tuple(primes.values())
+    exit_v, collect_c, collect_d = f"w#{i}", f"c#{i}", f"d#{i}"
+    new = (exit_v, collect_c, collect_d) + block_c + block_d
+    # before renaming, which would hide an input vertex named like an apex
+    for label in APEXES + copies + new:
+        if label in rebased.graph.index:
+            raise LabelCollision(f"fresh label {label!r} already names a vertex")
+    ren = lambda x: primes.get(x, x)  # noqa: E731
     v_own, v_far = APEXES[i - 1], APEXES[2 - i]
-    arcs = [(x, primes[x]) for x in s_own]
+    arcs = [(ren(u), ren(v)) for u, v in rebased.graph.arcs]
+    arcs += [(x, primes[x]) for x in s_own]
     arcs += [(x, v_own) for x in s_own]
     arcs += [(y, v_far) for y in s_far]
-    graph = graph.extended(s_own + APEXES, arcs)
-    return Presentation(graph, rebased.ground + APEXES, tuple(primes.values()) + APEXES)
-
-
-def _build_gadget(
-    apexed: Presentation, block_c: tuple[str, ...], block_d: tuple[str, ...], i: int
-) -> Presentation:
-    """Attach blocks C and D through their collectors and the exit vertex."""
-    target_copy = apexed.targets[:-2]  # the primed copies of this side's basis
-    exit_v, collect_c, collect_d = f"w#{i}", f"c#{i}", f"d#{i}"
-    v_own, v_far = APEXES[i - 1], APEXES[2 - i]
-    new = (exit_v, collect_c, collect_d) + block_c + block_d
-    _fresh(apexed.graph, new)
-    arcs = [
+    arcs += [
         (collect_c, exit_v),
         (collect_c, v_far),
         (collect_d, exit_v),
         (collect_d, v_own),
     ]
-    for x in block_c:
-        arcs.append((x, collect_c))
-        arcs += [(x, t) for t in target_copy]
-    for x in block_d:
-        arcs.append((x, collect_d))
-        arcs += [(x, t) for t in target_copy]
+    for block, collector in ((block_c, collect_c), (block_d, collect_d)):
+        for x in block:
+            arcs.append((x, collector))
+            arcs += [(x, t) for t in copies]
     return Presentation(
-        apexed.graph.extended(new, arcs),
-        apexed.ground + block_c + block_d,
-        target_copy + APEXES + (exit_v,),
+        Digraph(tuple(map(ren, rebased.graph.vertices)) + s_own + APEXES + new, arcs),
+        rebased.ground + APEXES + block_c + block_d,
+        copies + APEXES + (exit_v,),
     )
 
 
@@ -218,13 +196,13 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
 
     branches: dict[int, Branch] = {}
     for i, s_own, s_far in ((1, s1, s2), (2, s2, s1)):
-        apexed = _build_apexed(retarget(norm.presentation, s_own), s_own, s_far, i)
-        gadget_pres = _build_gadget(apexed, block_c, block_d, i)
-        branches[i] = Branch(apexed, gadget_pres, _build_bypass(gadget_pres, block_c, i))
+        rebased = retarget(norm.presentation, s_own)
+        gadget_pres = _build_gadget(rebased, s_own, s_far, block_c, block_d, i)
+        branches[i] = Branch(gadget_pres, _build_bypass(gadget_pres, block_c, i))
 
-    if not branches[1].apexed.matroid.equals(branches[2].apexed.matroid):
-        raise ClaimFailed("branch_matroids_equal", "the two apexed matroids differ")
-    core = branches[1].apexed.matroid
+    # branch_matroids_equal is implied by gadget_matroids_equal below: each
+    # apexed matroid is its gadget matroid minus C + D
+    core = branches[1].gadget.matroid.delete(relaxed_set)
 
     if not core.contract(APEXES).equals(norm.presentation.matroid):
         raise ClaimFailed(
@@ -255,11 +233,6 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
     result = gadget.relax(relaxed_set)
     result.verify_axioms()  # the one table build writes
 
-    # with apex_contraction_restores_input, this puts the normalized input
-    # in the result as a minor
-    if not result.delete(relaxed_set).equals(core):
-        raise ClaimFailed("input_minor_present", "recovering the input minor failed")
-
     witness = {"A": s1 + APEXES[:1], "B": s2 + APEXES[1:], "C": block_c, "D": block_d}
     check = result.ingleton_check(*(witness[z] for z in "ABCD"))
     # these ten ranks fix both sides of the inequality: 5r + 11 against 5r + 10
@@ -272,7 +245,8 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
             "ingleton_violated", f"expected {5 * r + 11} > {5 * r + 10}, got {check}"
         )
 
-    # the one check of the retargeting in normalize
+    # result minus C + D is core: relaxing changes only the rank of C + D.
+    # This is the one check of the retargeting in normalize
     recipe_delete = relaxed_set + norm.delete_back
     recipe_contract = APEXES + norm.contract_back
     if not result.delete(recipe_delete).contract(recipe_contract).equals(input_matroid):

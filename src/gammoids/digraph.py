@@ -173,13 +173,6 @@ class Digraph:
             [a for a in self.arcs if v not in a],
         )
 
-    def relabeled(self, mapping: dict[str, str]) -> "Digraph":
-        ren = lambda x: mapping.get(x, x)  # noqa: E731
-        return Digraph(
-            tuple(ren(v) for v in self.vertices),
-            [(ren(u), ren(v)) for u, v in self.arcs],
-        )
-
 
 @dataclass(frozen=True)
 class Linking:

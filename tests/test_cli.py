@@ -1,3 +1,4 @@
+import ast
 import copy
 import errno
 import hashlib
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import gammoids
 from conftest import complete, requires_kernel
-from gammoids import certificate, construction, digraph
+from gammoids import certificate, cli, construction, digraph
 from gammoids.certificate import parse_presentation, verify_certificate
 from gammoids.cli import main
 from gammoids.corpus import PIPELINE_DEMOS, RANK3_DOC, U24_DOC
@@ -367,6 +368,49 @@ def test_unwritable_output_exits_2(runner, tmp_path, name, code):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == f"parse error: cannot write {path}: {os.strerror(code)}\n"
     assert result.stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, code, writable",
+    [
+        ("missing/cert.json", errno.ENOENT, True),
+        (".", errno.EISDIR, True),
+        ("cert.json", errno.EACCES, False),
+        ("existing.json", errno.EACCES, False),
+    ],
+    ids=["no-dir", "dir", "read-only-dir", "read-only-file"],
+)
+def test_unwritable_output_is_refused_before_construct(
+    runner, tmp_path, monkeypatch, name, code, writable
+):
+    def construct(*args, **kwargs):
+        raise AssertionError("construct ran before the output path was checked")
+
+    (tmp_path / "existing.json").write_text("kept")
+    monkeypatch.setattr(cli, "construct", construct)
+    if not writable:  # permission bits do not bind every user, so access is refused here
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    path = tmp_path / name
+    result = runner.invoke(main, ["build", "-o", str(path)], input=json.dumps(U24_DOC))
+    assert result.exit_code == 2
+    assert result.stderr == f"parse error: cannot write {path}: {os.strerror(code)}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "existing.json"]
+    assert (tmp_path / "existing.json").read_text() == "kept"
+
+
+def test_verify_imports_only_what_it_checks():
+    """``gammoids.certificate`` reaches, through its in-package imports,
+    only the modules a reader must trust to believe an accepted certificate."""
+    package = Path(gammoids.__file__).parent
+    seen, todo = set(), ["certificate"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    todo += [node.module] if node.module else [a.name for a in node.names]
+    assert seen == {"certificate", "digraph", "matroid", "errors"}
 
 
 @pytest.mark.parametrize(

@@ -30,12 +30,13 @@ def family_subsets(m, families, size):
     return out
 
 
-def drop_arc_changing_matroid(p):
-    """``p`` without one arc, chosen so that the presented matroid changes."""
-    for arc in p.graph.arcs:
+def drop_arc_changing_matroid(p, among=None, outside=()):
+    """``p`` without one arc of ``among`` (by default, of all its arcs), chosen
+    so that the presented matroid minus ``outside`` changes."""
+    for arc in p.graph.arcs if among is None else among:
         arcs = [a for a in p.graph.arcs if a != arc]
         q = Presentation(Digraph(p.graph.vertices, arcs), p.ground, p.targets)
-        if not q.matroid.equals(p.matroid):
+        if not q.matroid.delete(outside).equals(p.matroid.delete(outside)):
             return q
     raise AssertionError("no single arc changes the presented matroid")
 
@@ -66,20 +67,20 @@ class TestBundleShape:
         assert bundle.result.rank == bundle.r + 3 == 5
         assert len(bundle.block_c) == 2 and len(bundle.block_d) == bundle.r + 1
 
-    def test_apexed_vertex_count(self, u24_run):
+    def test_gadget_vertex_count(self, u24_run):
+        # the primed copies and both apexes, then the exit, the collectors and the blocks
         bundle, _, _ = u24_run
         for i, s_own in ((1, bundle.s1), (2, bundle.s2)):
             rebased = retarget(bundle.normalized.presentation, s_own)
-            assert len(bundle.branches[i].apexed.graph.vertices) == (
-                len(rebased.graph.vertices) + bundle.r + 2
+            assert len(bundle.branches[i].gadget.graph.vertices) == (
+                len(rebased.graph.vertices) + bundle.r + 2 + 3 + len(bundle.relaxed_set)
             )
 
     def test_own_basis_with_apexes_is_a_basis(self, u24_run):
         bundle, _, _ = u24_run
-        for i, s_own in ((1, bundle.s1), (2, bundle.s2)):
-            m = bundle.branches[i].apexed.matroid
-            assert m.is_basis(s_own + APEXES)
-            assert m.rank == bundle.r + 2
+        for s_own in (bundle.s1, bundle.s2):
+            assert bundle.core.is_basis(s_own + APEXES)
+        assert bundle.core.rank == bundle.r + 2
 
     def test_gadget_restricts_to_core(self, u24_run):
         bundle, _, _ = u24_run
@@ -115,8 +116,8 @@ class TestClaims:
         # branch 2 gadget that differs is caught by the equality claim
         real = construction._build_gadget
 
-        def tampered(apexed, block_c, block_d, i):
-            gadget = real(apexed, block_c, block_d, i)
+        def tampered(rebased, s_own, s_far, block_c, block_d, i):
+            gadget = real(rebased, s_own, s_far, block_c, block_d, i)
             return gadget if i == 1 else drop_arc_changing_matroid(gadget)
 
         monkeypatch.setattr(construction, "_build_gadget", tampered)
@@ -124,11 +125,28 @@ class TestClaims:
             construct(parse_presentation(U24_DOC))
         assert info.value.claim == "gadget_matroids_equal"
 
+    def test_branch_2_input_arc_drop_fails_the_gadget_equality_claim(self, monkeypatch):
+        # dropping an arc between input vertices changes branch 2's matroid
+        # outside C + D, where no claim compares the two branches but this one
+        real = construction._build_gadget
+
+        def tampered(rebased, s_own, s_far, block_c, block_d, i):
+            gadget = real(rebased, s_own, s_far, block_c, block_d, i)
+            if i == 1:
+                return gadget
+            copied = set(gadget.graph.vertices[: len(rebased.graph.vertices)])
+            among = [a for a in gadget.graph.arcs if set(a) <= copied]
+            return drop_arc_changing_matroid(gadget, among, outside=block_c + block_d)
+
+        monkeypatch.setattr(construction, "_build_gadget", tampered)
+        with pytest.raises(ClaimFailed) as info:
+            construct(parse_presentation(U24_DOC))
+        assert info.value.claim == "gadget_matroids_equal"
+
     def test_each_builder_makes_one_digraph(self, monkeypatch):
-        # the apexed presentation relabels its input first, then builds once
         made = record_instances(monkeypatch, Digraph)
         counts = {}
-        for name in ("_build_apexed", "_build_gadget", "_build_bypass"):
+        for name in ("_build_gadget", "_build_bypass"):
 
             def counted(*args, real=getattr(construction, name), name=name):
                 before = len(made)
@@ -138,7 +156,7 @@ class TestClaims:
 
             monkeypatch.setattr(construction, name, counted)
         construct(parse_presentation(RANK3_DOC))
-        assert counts == {"_build_apexed": [2, 2], "_build_gadget": [1, 1], "_build_bypass": [1, 1]}
+        assert counts == {"_build_gadget": [1, 1], "_build_bypass": [1, 1]}
 
     def test_core_contraction_recovers_base(self, u24_run):
         bundle, _, _ = u24_run
@@ -305,7 +323,7 @@ def count_calls(monkeypatch, *spots) -> Counter:
 class TestBoundaryVerification:
     """The rank axioms are checked once, on the excluded minor.
 
-    construct materializes what it builds (8 linkage tables, matroids by
+    construct materializes what it builds (6 linkage tables, matroids by
     theory) and checks the axioms of its relaxed result alone. certify and
     verify enumerate the linked sets of each record once and compare them
     with the independent sets of the minor of the excluded minor it stands
@@ -324,7 +342,7 @@ class TestBoundaryVerification:
             (Matroid, "verify_axioms"),
         )
         bundle = construct(parse_presentation(doc))
-        assert calls["linkage_matroid"] == 8
+        assert calls["linkage_matroid"] == 6
         assert calls["verify_axioms"] == 1
         calls.clear()
         certify(bundle)
@@ -449,7 +467,7 @@ class TestRandomEndToEnd:
         tables = [bundle.source.matroid, bundle.normalized.presentation.matroid]
         tables += [bundle.core, bundle.gadget, bundle.result]
         for branch in bundle.branches.values():
-            tables += [branch.apexed.matroid, branch.gadget.matroid, branch.bypass.matroid]
+            tables += [branch.gadget.matroid, branch.bypass.matroid]
         for m in tables:
             m.verify_axioms()
         doc = json.loads(certificate_to_json(certify(bundle)))
