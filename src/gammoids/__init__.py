@@ -4,108 +4,53 @@ Given any gammoid as a directed-graph presentation, this package builds a
 matroid that lies just outside the class of gammoids, contains the input
 as a minor, and has every single-element deletion and contraction
 certified as a gammoid by an explicit, machine-verified presentation.
+
+Each public name below is listed once, under the module that defines it.
+Importing the package imports none of its modules: a module is imported
+the first time one of its names, or the module itself, is read from the
+package (PEP 562). So ``import gammoids.certificate`` loads only the
+modules that certificate verification uses.
 """
 
-from .construction import (
-    Branch,
-    Bundle,
-    certify,
-    construct,
-    normalize,
-)
-from .certificate import (
-    certificate_to_json,
-    parse_presentation,
-    verify_certificate,
-)
-from .digraph import (
-    Digraph,
-    Linking,
-    Presentation,
-    brute_force_linking_oracle,
-    is_linked,
-    linkage_matroid,
-    max_linking,
-    transversal_duality_check,
-)
-from .errors import (
-    AxiomViolation,
-    ClaimFailed,
-    GammoidError,
-    GraphTooLarge,
-    GroundSetTooLarge,
-    IsLoop,
-    LabelCollision,
-    NotABasis,
-    NotACircuitHyperplane,
-    NotInGround,
-    NotInSAndT,
-    NotStrict,
-    ParseError,
-    PreconditionViolated,
-    RetargetFailed,
-    ReverifyFailed,
-    TooLarge,
-    UnknownDemo,
-)
-from .matroid import MAX_GROUND, IngletonCheck, Matroid
-from .surgery import (
-    TwoBasesEmbedding,
-    add_coloop,
-    contract_any,
-    contract_target,
-    delete_element,
-    free_extension,
-    retarget,
-    two_bases_embedding,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomViolation",
-    "Branch",
-    "Bundle",
-    "ClaimFailed",
-    "Digraph",
-    "GammoidError",
-    "GraphTooLarge",
-    "GroundSetTooLarge",
-    "IngletonCheck",
-    "IsLoop",
-    "LabelCollision",
-    "Linking",
-    "MAX_GROUND",
-    "Matroid",
-    "NotABasis",
-    "NotACircuitHyperplane",
-    "NotInGround",
-    "NotInSAndT",
-    "NotStrict",
-    "ParseError",
-    "PreconditionViolated",
-    "Presentation",
-    "RetargetFailed",
-    "ReverifyFailed",
-    "TooLarge",
-    "TwoBasesEmbedding",
-    "UnknownDemo",
-    "add_coloop",
-    "brute_force_linking_oracle",
-    "certificate_to_json",
-    "certify",
-    "construct",
-    "contract_any",
-    "contract_target",
-    "delete_element",
-    "free_extension",
-    "is_linked",
-    "linkage_matroid",
-    "max_linking",
-    "normalize",
-    "parse_presentation",
-    "retarget",
-    "transversal_duality_check",
-    "two_bases_embedding",
-    "verify_certificate",
-]
+_EXPORTS = {
+    "construction": ("Branch", "Bundle", "certify", "construct", "normalize"),
+    "certificate": ("certificate_to_json", "parse_presentation", "verify_certificate"),
+    "digraph": (
+        "Digraph", "Linking", "Presentation", "brute_force_linking_oracle", "is_linked",
+        "linkage_matroid", "max_linking", "transversal_duality_check",
+    ),
+    "errors": (
+        "AxiomViolation", "ClaimFailed", "GammoidError", "GraphTooLarge",
+        "GroundSetTooLarge", "IsLoop", "LabelCollision", "NotABasis",
+        "NotACircuitHyperplane", "NotInGround", "NotInSAndT", "NotStrict", "ParseError",
+        "PreconditionViolated", "RetargetFailed", "ReverifyFailed", "TooLarge",
+        "UnknownDemo",
+    ),
+    "matroid": ("MAX_GROUND", "IngletonCheck", "Matroid"),
+    "surgery": (
+        "TwoBasesEmbedding", "add_coloop", "contract_any", "contract_target",
+        "delete_element", "free_extension", "retarget", "two_bases_embedding",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name``, or the submodule ``name``."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # read from the module each time, so a rebinding there shows here too
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    """Every public name and submodule, loaded or not."""
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))

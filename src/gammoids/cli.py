@@ -141,9 +141,7 @@ def build(input_path: str, output_path: str, jobs: int, max_elements: int) -> No
             _check_writable(output_path)
         bundle = construct(presentation, max_elements=max_elements)
         cert = certify(bundle, jobs=jobs)
-        # a record past the graph caps that verify enforces is refused here
-        text = certificate_to_json(cert)
-        _write_text(output_path, text)
+        _write_text(output_path, certificate_to_json(cert))
     except GammoidError as exc:
         _fail(exc)
     _say(_report(bundle, cert))

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from .certificate import CLAIM_NAMES
+from .certificate import CLAIM_NAMES, check_graph_size
 from .digraph import Digraph, Presentation
-from .errors import ClaimFailed, LabelCollision, TooLarge
+from .errors import ClaimFailed, LabelCollision, NotACircuitHyperplane, TooLarge
 from .matroid import MAX_GROUND, IngletonCheck, Matroid
 from .surgery import (
     TwoBasesEmbedding,
@@ -225,12 +225,13 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
             branches[i].bypass.matroid, families, relaxed_set, "bypass_circuit_families"
         )
 
-    if not gadget.is_circuit_hyperplane(relaxed_set):
+    try:
+        result = gadget.relax(relaxed_set)
+    except NotACircuitHyperplane:
         raise ClaimFailed(
             "relaxed_set_is_circuit_hyperplane",
             "the union of the blocks is not a circuit-hyperplane",
-        )
-    result = gadget.relax(relaxed_set)
+        ) from None
     result.verify_axioms()  # the one table build writes
 
     witness = {"A": s1 + APEXES[:1], "B": s2 + APEXES[1:], "C": block_c, "D": block_d}
@@ -280,20 +281,30 @@ def _block_deletion(gadget: Presentation, x: str) -> Presentation:
     )
 
 
-def _certify_element(bundle: Bundle, block_deleted: dict[str, Presentation], x: str) -> dict:
-    """The record of x: presentations of its deletion and contraction, each verified."""
-    # the comparison of each recorded presentation against the table-level
+def _within_caps(pres: Presentation, where: str) -> Presentation:
+    """``pres``, once its graph is within the caps that ``verify_certificate`` enforces."""
+    check_graph_size(len(pres.graph.vertices), len(pres.graph.arcs), where)
+    return pres
+
+
+def _certify_element(
+    bundle: Bundle, block_deleted: dict[str, Presentation], k: int, x: str
+) -> dict:
+    """The record of x, the result's k-th element: presentations of its
+    deletion and contraction, each within the graph caps and verified."""
+    # each recorded graph is held to the caps before it is compared; the
+    # comparison of each recorded presentation against the table-level
     # minor below is the one check of the surgeries that built it
     m = bundle.result
+    where = f"minors[{k}]"
     if x in bundle.relaxed_set:
         claim = "block_minors_gammoid"
-        if x in block_deleted:
-            # certify built this same presentation and verified it
-            del_pres = block_deleted[x]
-        else:
-            del_pres = _block_deletion(bundle.branches[1].gadget, x)
-            if not del_pres.presents(m.delete([x])):
-                raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
+        # certify built and verified the deletion of the first of each block
+        fresh = x not in block_deleted
+        del_pres = _block_deletion(bundle.branches[1].gadget, x) if fresh else block_deleted[x]
+        _within_caps(del_pres, f"{where}.deletion")
+        if fresh and not del_pres.presents(m.delete([x])):
+            raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
 
         pool = bundle.block_d if x in bundle.block_c else bundle.block_c
         y = pool[0]
@@ -305,14 +316,14 @@ def _certify_element(bundle: Bundle, block_deleted: dict[str, Presentation], x: 
     else:
         claim = "side_minors_gammoid"
         branch = bundle.branches[1 if x in bundle.s1 or x == APEXES[0] else 2]
-        del_pres = delete_element(branch.bypass, x)
+        del_pres = _within_caps(delete_element(branch.bypass, x), f"{where}.deletion")
         # the presented matroid is the bypass matroid restricted away from x,
         # by definition of restriction; the content of the check is that this
         # restriction agrees with deleting x from the result
         if not branch.bypass.matroid.delete([x]).equals(m.delete([x])):
             raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
         con_pres = contract_any(branch.gadget, x)
-    if not con_pres.presents(m.contract([x])):
+    if not _within_caps(con_pres, f"{where}.contraction").presents(m.contract([x])):
         raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
     return {
         "x": x,
@@ -332,6 +343,9 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> dict:
     The linked sets of every recorded presentation are enumerated once and
     compared with the independent sets of the table-level deletion or
     contraction of the result; a mismatch raises :class:`ClaimFailed`.
+    Before its comparison, each record's graph is held to the caps that
+    ``verify_certificate`` enforces: past one, :class:`GraphTooLarge`
+    names the record, as in ``minors[k].deletion: ...``.
     Branch 1's gadget presentation backs the records for the block
     elements; the structural claims cover both branches.
     With ``jobs`` above 1 the records are built on a pool of at most one
@@ -360,9 +374,9 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> dict:
     workers = min(jobs, os.cpu_count() or 1, len(elements))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(certify_one, elements))
+            records = list(pool.map(certify_one, range(len(elements)), elements))
     else:
-        records = list(map(certify_one, elements))
+        records = list(map(certify_one, range(len(elements)), elements))
 
     witness = bundle.ingleton_witness
     return {

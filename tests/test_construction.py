@@ -16,7 +16,7 @@ from gammoids.certificate import certificate_to_json, verify_certificate
 from gammoids.construction import APEXES
 from gammoids.corpus import RANK3_DOC, U24_DOC, random_presentation
 from gammoids.digraph import Digraph, Presentation
-from gammoids.errors import ClaimFailed, TooLarge
+from gammoids.errors import ClaimFailed, GraphTooLarge, TooLarge
 from gammoids.matroid import Matroid
 from gammoids.surgery import retarget
 
@@ -350,6 +350,35 @@ class TestBoundaryVerification:
         assert calls == Counter(
             _linkage_independence=certify_calls, linkage_matroid=2, verify_axioms=0
         )
+
+    def test_circuit_hyperplane_is_checked_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, (Matroid, "is_circuit_hyperplane"))
+        construct(parse_presentation(U24_DOC))
+        assert calls == {"is_circuit_hyperplane": 1}  # by relax
+
+    def test_relaxing_a_non_circuit_hyperplane_is_its_claim(self, monkeypatch):
+        monkeypatch.setattr(Matroid, "is_circuit_hyperplane", lambda self, labels: False)
+        with pytest.raises(ClaimFailed) as info:
+            construct(parse_presentation(U24_DOC))
+        assert info.value.claim == "relaxed_set_is_circuit_hyperplane"
+        assert info.value.detail == "the union of the blocks is not a circuit-hyperplane"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_record_past_the_graph_cap_is_refused_before_it_is_compared(self, monkeypatch, jobs):
+        # the input fits under the vertex cap, but its records would not
+        verts = [f"v{i}" for i in range(505)]
+        bundle = construct(parse_presentation({
+            "vertices": verts,
+            "arcs": [[u, v] for u, v in zip(verts, verts[1:])],
+            "ground": ["v0", "v1"],
+            "targets": ["v504"],
+        }))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls = count_calls(monkeypatch, (Presentation, "presents"))
+        with pytest.raises(GraphTooLarge) as info:
+            certify(bundle, jobs=jobs)
+        assert str(info.value) == "minors[0].deletion: 515 vertices exceeds cap 512"
+        assert calls["presents"] == 0
 
     def test_verify_counts(self, monkeypatch, r3_run):
         _, doc, _ = r3_run
