@@ -17,9 +17,9 @@ checked once: the gadget circuit families on branch 1's gadget alone,
 since a claim proves branch 2's gadget matroid equal to it, which also
 makes the apexed matroids, the gadgets minus C + D, equal; and the
 Ingleton violation by the ten ranks that fix both of its sides. ``certify``
-compares each record's linked sets with the independent sets of the
-table-level minor it stands for. A failed check raises, so ``certify``
-returns a certificate document only when every check has held.
+compares each record with the table-level minor it stands for, by one
+rule. A failed check raises, so ``certify`` returns a certificate
+document only when every check has held.
 """
 
 from __future__ import annotations
@@ -281,54 +281,49 @@ def _block_deletion(gadget: Presentation, x: str) -> Presentation:
     )
 
 
-def _within_caps(pres: Presentation, where: str) -> Presentation:
-    """``pres``, once its graph is within the caps that ``verify_certificate`` enforces."""
-    check_graph_size(len(pres.graph.vertices), len(pres.graph.arcs), where)
-    return pres
-
-
 def _certify_element(
     bundle: Bundle, block_deleted: dict[str, Presentation], k: int, x: str
 ) -> dict:
     """The record of x, the result's k-th element: presentations of its
-    deletion and contraction, each within the graph caps and verified."""
-    # each recorded graph is held to the caps before it is compared; the
-    # comparison of each recorded presentation against the table-level
-    # minor below is the one check of the surgeries that built it
+    deletion and contraction, each within the graph caps and verified.
+
+    Each graph is held to the caps, then compared with the minor it stands
+    for, the one check of the surgeries that built it: by table where the
+    deletion's table is known, for a deletion ``certify`` materialized and
+    for the bypass restricted away from x, and by its linked sets otherwise.
+    """
     m = bundle.result
-    where = f"minors[{k}]"
     if x in bundle.relaxed_set:
         claim = "block_minors_gammoid"
-        # certify built and verified the deletion of the first of each block
-        fresh = x not in block_deleted
-        del_pres = _block_deletion(bundle.branches[1].gadget, x) if fresh else block_deleted[x]
-        _within_caps(del_pres, f"{where}.deletion")
-        if fresh and not del_pres.presents(m.delete([x])):
-            raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
-
-        pool = bundle.block_d if x in bundle.block_c else bundle.block_c
-        y = pool[0]
-        # contracted presents (M\y)/x = (M/x)\y. A coloop of M/x is a coloop
+        first = x in block_deleted
+        deletion = block_deleted[x] if first else _block_deletion(bundle.branches[1].gadget, x)
+        known = deletion.matroid if first else None  # the deletion's table
+        y = (bundle.block_d if x in bundle.block_c else bundle.block_c)[0]
+        # contraction presents (M\y)/x = (M/x)\y. A coloop of M/x is a coloop
         # of M, and y is none: y lies in the relaxed circuit-hyperplane H, and
         # H - y plus any element outside H is a basis of M that misses y. So
         # y always comes back as a free extension.
-        con_pres = free_extension(contract_any(block_deleted[y], x), y)
+        contraction = free_extension(contract_any(block_deleted[y], x), y)
     else:
         claim = "side_minors_gammoid"
         branch = bundle.branches[1 if x in bundle.s1 or x == APEXES[0] else 2]
-        del_pres = _within_caps(delete_element(branch.bypass, x), f"{where}.deletion")
-        # the presented matroid is the bypass matroid restricted away from x,
-        # by definition of restriction; the content of the check is that this
-        # restriction agrees with deleting x from the result
-        if not branch.bypass.matroid.delete([x]).equals(m.delete([x])):
-            raise ClaimFailed(claim, f"deletion presentation at {x!r} did not verify")
-        con_pres = contract_any(branch.gadget, x)
-    if not _within_caps(con_pres, f"{where}.contraction").presents(m.contract([x])):
-        raise ClaimFailed(claim, f"contraction presentation at {x!r} did not verify")
+        bypass = branch.bypass
+        deletion = delete_element(bypass, x)
+        # tested on the record itself: any other record is enumerated
+        restricted = deletion == bypass.with_ground(g for g in bypass.ground if g != x)
+        known = bypass.matroid.delete([x]) if restricted else None
+        contraction = contract_any(branch.gadget, x)
+    for side, pres, minor, table in (
+        ("deletion", deletion, m.delete([x]), known),
+        ("contraction", contraction, m.contract([x]), None),
+    ):
+        check_graph_size(len(pres.graph.vertices), len(pres.graph.arcs), f"minors[{k}].{side}")
+        if not (pres.presents(minor) if table is None else table.equals(minor)):
+            raise ClaimFailed(claim, f"{side} presentation at {x!r} did not verify")
     return {
         "x": x,
-        "deletion": {"presentation": del_pres.to_doc(), "verified": True},
-        "contraction": {"presentation": con_pres.to_doc(), "verified": True},
+        "deletion": {"presentation": deletion.to_doc(), "verified": True},
+        "contraction": {"presentation": contraction.to_doc(), "verified": True},
     }
 
 
@@ -340,12 +335,14 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> dict:
     ``ingleton``, ``minors``, ``recipe`` and ``notes``, in that order.
     Every claim and every record reads true, since a failed check raises.
 
-    The linked sets of every recorded presentation are enumerated once and
-    compared with the independent sets of the table-level deletion or
-    contraction of the result; a mismatch raises :class:`ClaimFailed`.
-    Before its comparison, each record's graph is held to the caps that
-    ``verify_certificate`` enforces: past one, :class:`GraphTooLarge`
-    names the record, as in ``minors[k].deletion: ...``.
+    Before any record, the deletions of the first element of each block
+    are built and materialized, as ``contract_any`` reads their tables.
+    Then each record's graph is held to the caps that ``verify_certificate``
+    enforces, and compared with the table-level deletion or contraction of
+    the result: by table for those two deletions and for a side deletion
+    that is its bypass restricted away from its element, and by
+    enumerating its linked sets otherwise. Past a cap, :class:`GraphTooLarge` names the record, as in
+    ``minors[k].deletion: ...``; a mismatch raises :class:`ClaimFailed`.
     Branch 1's gadget presentation backs the records for the block
     elements; the structural claims cover both branches.
     With ``jobs`` above 1 the records are built on a pool of at most one
@@ -359,15 +356,10 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> dict:
     """
     m = bundle.result
 
-    block_deleted: dict[str, Presentation] = {}
-    for y in (bundle.block_c[0], bundle.block_d[0]):
-        pres = _block_deletion(bundle.branches[1].gadget, y)
-        # contract_any reads this table, so it is materialized, not only enumerated
-        if not pres.matroid.equals(m.delete([y])):
-            raise ClaimFailed(
-                "block_minors_gammoid", f"deletion presentation at {y!r} did not verify"
-            )
-        block_deleted[y] = pres
+    firsts = (bundle.block_c[0], bundle.block_d[0])
+    block_deleted = {y: _block_deletion(bundle.branches[1].gadget, y) for y in firsts}
+    for pres in block_deleted.values():
+        pres.matroid  # contract_any reads these tables
 
     certify_one = partial(_certify_element, bundle, block_deleted)
     elements = list(m.ground)

@@ -1,5 +1,6 @@
 """Grade every single-arc edit of the u24 certificate's records against an
-oracle that shares no code with either flow engine.
+oracle that shares no code with either flow engine, and flip every r-set of
+its excluded minor.
 
 Each edit deletes one arc of one record (``minors[k].deletion`` or
 ``minors[k].contraction``), or adds one arc between two of its vertices
@@ -10,6 +11,12 @@ Ingleton-Piff duality (:func:`presents_by_duality`). An edit is
 presents its minor, ``rejected`` when verify rejects it at that record
 and the oracle says it does not, and ``disagreeing`` otherwise.
 ``test_tamper.py`` grades a part of the deletions with the same oracle.
+
+Each flip removes one r-set from the excluded minor's basis family if it is
+listed, or inserts it in mask order if not. Every flip must be rejected: a
+flipped r-set B changes M\\x for each x outside B, and the record for that x
+presents the unflipped minor. The sweep counts where verify rejects each
+flip; ``test_tamper.py`` runs all of them.
 Run from the repository root::
 
     PYTHONPATH=src python tests/tamper_sweep.py
@@ -17,9 +24,11 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import re
 import time
+from bisect import bisect
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 from gammoids import certify, construct, parse_presentation, verify_certificate
 from gammoids.corpus import U24_DOC
@@ -98,6 +107,34 @@ def sweep(cert: dict, m: Matroid, edits, records) -> Counter:
     return grades
 
 
+def basis_flips(cert: dict):
+    """``cert`` with each r-set of its excluded minor flipped in turn: removed
+    from the basis family if listed, inserted in mask order if not."""
+    em = cert["recipe"]["excluded_minor"]
+    ground, bases = em["ground"], em["bases"]
+    index = {g: i for i, g in enumerate(ground)}
+    masks = [sum(1 << index[g] for g in basis) for basis in bases]
+    for combo in combinations(range(len(ground)), len(bases[0])):
+        mask = sum(1 << i for i in combo)
+        k = bisect(masks, mask)
+        if k and masks[k - 1] == mask:
+            flipped = bases[: k - 1] + bases[k:]
+        else:
+            flipped = bases[:k] + [[ground[i] for i in combo]] + bases[k:]
+        recipe = {**cert["recipe"], "excluded_minor": {**em, "bases": flipped}}
+        yield {**cert, "recipe": recipe}
+
+
+def rejected_at(cert: dict) -> str:
+    """Where ``verify_certificate`` rejects ``cert``, with a record's index
+    written ``k``, or ``accepted``."""
+    try:
+        verify_certificate(cert)
+    except ReverifyFailed as exc:
+        return re.sub(r"^minors\[\d+\]\.", "minors[k].", exc.location)
+    return "accepted"
+
+
 def main() -> None:
     bundle = construct(parse_presentation(U24_DOC))
     cert = certify(bundle)
@@ -111,6 +148,11 @@ def main() -> None:
             f"{grades['rejected']} rejected, {grades['disagreeing']} disagreeing "
             f"({elapsed:.1f} s)"
         )
+    start = time.perf_counter()
+    places = Counter(map(rejected_at, basis_flips(cert)))
+    elapsed = time.perf_counter() - start
+    where = ", ".join(f"{n} at {place}" for place, n in sorted(places.items()))
+    print(f"r-set flips: {sum(places.values())} edits, {where} ({elapsed:.1f} s)")
 
 
 if __name__ == "__main__":

@@ -458,6 +458,75 @@ def test_hostile_labels_of_the_excluded_minor_are_not_echoed(
     assert len(verified.stderr_bytes) < 1024
 
 
+# one edit of a certificate per refusal: (path to the field, new value, exit
+# code, stderr). An empty path replaces the document; a record's malformed
+# presentation fails re-verification at that record
+VERIFY_REFUSALS = [
+    ((), [], 2, "parse error: certificate must be a JSON object"),
+    (("surprise",), True, 2,
+     "parse error: certificate keys must be exactly "
+     "['claims', 'ingleton', 'minors', 'recipe', 'notes'], "
+     "got ['claims', 'ingleton', 'minors', 'notes', 'recipe', 'surprise']"),
+    (("claims", "surprise"), True, 2,
+     "parse error: claims must map exactly the known claim names"),
+    (("claims", "ingleton_violated"), 1, 2, "parse error: claim verdicts must be booleans"),
+    (("ingleton", "E"), [], 2, "parse error: ingleton record has wrong keys"),
+    (("ingleton", "A"), "ab", 2, "parse error: ingleton.A must be a list of strings"),
+    (("ingleton", "lhs"), "21", 2, "parse error: ingleton sides must be integers"),
+    (("ingleton", "violated"), 1, 2, "parse error: ingleton.violated must be a boolean"),
+    (("recipe", "surprise"), [], 2, "parse error: recipe record has wrong keys"),
+    (("recipe", "excluded_minor", "rank"), 5, 2,
+     "parse error: recipe.excluded_minor must carry ground and bases"),
+    (("recipe", "excluded_minor", "ground"), [1], 2,
+     "parse error: recipe.excluded_minor.ground must be a list of strings"),
+    (("recipe", "excluded_minor", "bases"), [], 2,
+     "parse error: excluded minor must list at least one basis"),
+    (("recipe", "delete"), "C#1", 2, "parse error: recipe.delete must be a list of strings"),
+    (("recipe", "contract"), None, 2, "parse error: recipe.contract must be a list of strings"),
+    (("recipe", "input", "surprise"), [], 2,
+     "parse error: recipe.input must carry presentation and bases"),
+    (("recipe", "input", "bases"), {}, 2, "parse error: recipe.input.bases must be a list"),
+    (("minors",), {}, 2, "parse error: minors must be a list"),
+    (("minors", 0, "y"), "a", 2, "parse error: minors[0] has wrong keys"),
+    (("minors", 1, "x"), 1, 2, "parse error: minors[1].x must be a string"),
+    (("minors", 2, "deletion", "surprise"), [], 2,
+     "parse error: minors[2].deletion has wrong keys"),
+    (("minors", 3, "contraction", "verified"), "true", 2,
+     "parse error: minors[3].contraction.verified must be a boolean"),
+    (("notes",), ["ok", 1], 2, "parse error: notes must be a list of strings"),
+    (("minors", 4, "deletion", "verified"), False, 5,
+     "re-verification failed at minors[4].deletion: record is marked unverified"),
+    (("minors", 5, "deletion", "presentation"), [], 5,
+     "re-verification failed at minors[5].deletion: presentation invalid: "
+     "presentation must be a JSON object"),
+    (("minors", 6, "contraction", "presentation", "arcs"), "ab", 5,
+     "re-verification failed at minors[6].contraction: presentation invalid: "
+     "arcs must be a list"),
+    (("recipe", "input", "presentation", "arcs"), {}, 5,
+     "re-verification failed at recipe.input.presentation: arcs must be a list"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, code, message",
+    VERIFY_REFUSALS,
+    ids=[".".join(map(str, path)) or "document" for path, *_ in VERIFY_REFUSALS],
+)
+def test_verify_refuses_each_malformed_field(runner, u24_cert_doc, path, value, code, message):
+    doc = copy.deepcopy(u24_cert_doc)
+    if path:
+        *parents, last = path
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value
+    else:
+        doc = value
+    result = runner.invoke(main, ["verify"], input=json.dumps(doc))
+    assert result.exit_code == code
+    assert result.stderr == message + "\n"
+
+
 class TestVerifyCommand:
     def test_fresh_certificate_verifies(self, u24_cert_doc):
         verify_certificate(copy.deepcopy(u24_cert_doc))

@@ -143,6 +143,86 @@ class TestClaims:
             construct(parse_presentation(U24_DOC))
         assert info.value.claim == "gadget_matroids_equal"
 
+    def test_gadget_arc_drop_fails_the_gadget_families(self, monkeypatch):
+        # without D#1 -> d#1 the gadget minus C + D, and so the apex claim, is
+        # unchanged, but D#1 no longer reaches the exit through its collector
+        real = construction._build_gadget
+
+        def tampered(rebased, s_own, s_far, block_c, block_d, i):
+            gadget = real(rebased, s_own, s_far, block_c, block_d, i)
+            if i == 2:
+                return gadget
+            arcs = [a for a in gadget.graph.arcs if a != ("D#1", "d#1")]
+            return Presentation(Digraph(gadget.graph.vertices, arcs), gadget.ground, gadget.targets)
+
+        monkeypatch.setattr(construction, "_build_gadget", tampered)
+        with pytest.raises(ClaimFailed) as info:
+            construct(parse_presentation(RANK3_DOC))
+        assert info.value.claim == "gadget_circuit_families"
+        assert info.value.detail == (
+            "55 unexpected and 6 missing circuits; first offender "
+            "('a', 'b', 'c', 'd', 'e', 'D#1')"
+        )
+
+    def test_bypass_without_its_far_apex_arcs_fails_its_families(self, monkeypatch):
+        # branch 1's bypass reduced to its gadget, without both C -> v#2 arcs:
+        # dropping one of them alone trips no claim
+        real = construction._build_bypass
+        monkeypatch.setattr(
+            construction,
+            "_build_bypass",
+            lambda gadget, block_c, i: gadget if i == 1 else real(gadget, block_c, i),
+        )
+        with pytest.raises(ClaimFailed) as info:
+            construct(parse_presentation(RANK3_DOC))
+        assert info.value.claim == "bypass_circuit_families"
+        assert info.value.detail == (
+            "2 unexpected and 0 missing circuits; first offender "
+            "('a', 'b', 'c', 'v#1', 'C#1', 'C#2')"
+        )
+
+    def test_branch_1_input_arc_drop_fails_the_apex_claim(self, monkeypatch):
+        real = construction._build_gadget
+
+        def tampered(rebased, s_own, s_far, block_c, block_d, i):
+            gadget = real(rebased, s_own, s_far, block_c, block_d, i)
+            if i == 2:
+                return gadget
+            copied = set(gadget.graph.vertices[: len(rebased.graph.vertices)])
+            among = [a for a in gadget.graph.arcs if set(a) <= copied]
+            return drop_arc_changing_matroid(gadget, among, outside=block_c + block_d)
+
+        monkeypatch.setattr(construction, "_build_gadget", tampered)
+        with pytest.raises(ClaimFailed) as info:
+            construct(parse_presentation(RANK3_DOC))
+        assert info.value.claim == "apex_contraction_restores_input"
+        assert info.value.detail == "contracting both apexes lost the input"
+
+    def test_wrong_rank_on_the_relaxed_set_fails_the_ingleton_claim(self, monkeypatch):
+        # the table is untouched, so the axiom check passes; the claim reads
+        # the ten ranks through rank_of
+        cd = {"C#1", "C#2", "D#1", "D#2", "D#3", "D#4"}
+        real = Matroid.relax
+
+        class LyingOnCD(Matroid):
+            __slots__ = ()
+
+            def rank_of(self, labels):
+                labels = set(labels)
+                return super().rank_of(labels) - (labels == cd)
+
+        def relax(self, labels):
+            relaxed = real(self, labels)
+            return LyingOnCD(relaxed.ground, relaxed.table)
+
+        monkeypatch.setattr(Matroid, "relax", relax)
+        with pytest.raises(ClaimFailed) as info:
+            construct(parse_presentation(RANK3_DOC))
+        assert info.value.claim == "ingleton_violated"
+        assert info.value.detail == (
+            "expected 26 > 25, got IngletonCheck(lhs=26, rhs=25, holds=False)"
+        )
+
     def test_each_builder_makes_one_digraph(self, monkeypatch):
         made = record_instances(monkeypatch, Digraph)
         counts = {}
@@ -433,6 +513,36 @@ class TestBoundaryVerification:
         assert info.value.claim == "block_minors_gammoid"
         assert repr(contracted[-1]) in info.value.detail
 
+
+    def test_faulty_side_deletion_is_caught(self, monkeypatch, u24_run):
+        # a side deletion is compared by table only while it is its bypass
+        # restricted away from x; any other record has its linked sets enumerated
+        bundle, _, _ = u24_run
+        real = construction.delete_element
+        monkeypatch.setattr(
+            construction, "delete_element", lambda p, x: drop_arc_changing_matroid(real(p, x))
+        )
+        with pytest.raises(ClaimFailed) as info:
+            certify(bundle)
+        assert info.value.claim == "side_minors_gammoid"
+        assert info.value.detail == "deletion presentation at 'a' did not verify"
+
+    @pytest.mark.parametrize("x", ["C#1", "C#2"])
+    def test_faulty_block_deletion_is_caught_at_its_record(self, monkeypatch, u24_run, x):
+        # C#1's deletion is one that certify materializes before any record,
+        # C#2's is enumerated
+        bundle, _, _ = u24_run
+        real = construction._block_deletion
+
+        def faulty(gadget, y):
+            q = real(gadget, y)
+            return drop_arc_changing_matroid(q) if y == x else q
+
+        monkeypatch.setattr(construction, "_block_deletion", faulty)
+        with pytest.raises(ClaimFailed) as info:
+            certify(bundle)
+        assert info.value.claim == "block_minors_gammoid"
+        assert info.value.detail == f"deletion presentation at {x!r} did not verify"
 
 class TestSmallEndToEnd:
     def test_rank_one_input(self):

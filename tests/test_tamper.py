@@ -1,5 +1,6 @@
 """Single-arc deletions from u24 certificate records, graded by an oracle
-that shares no code with either flow engine.
+that shares no code with either flow engine, and every r-set flip of the
+u24 excluded minor.
 
 ``tamper_sweep.py`` holds the oracle and runs every single-arc deletion
 and addition of every record; this part covers both sides of the first
@@ -8,7 +9,18 @@ oracle, and a rejected one must be rejected at its record and fail the
 oracle.
 """
 
-from tamper_sweep import SIDES, arc_deletions, minor_of, presents_by_duality, sweep
+from collections import Counter
+from math import comb
+
+from tamper_sweep import (
+    SIDES,
+    arc_deletions,
+    basis_flips,
+    minor_of,
+    presents_by_duality,
+    rejected_at,
+    sweep,
+)
 
 
 def test_the_oracle_accepts_every_record(u24_run):
@@ -26,3 +38,15 @@ def test_single_arc_deletions_get_the_oracles_verdict(u24_run):
     assert grades["disagreeing"] == 0
     # both verdicts occur, so both rules are exercised
     assert grades["accepted"] > 0 and grades["rejected"] > 0
+
+
+def test_every_r_set_flip_of_the_excluded_minor_is_rejected(u24_run):
+    bundle, cert, _ = u24_run
+    places = Counter(map(rejected_at, basis_flips(cert)))
+    assert sum(places.values()) == comb(bundle.result.size, bundle.result.rank)
+    assert set(places) <= {
+        "recipe.excluded_minor.bases",
+        "ingleton",
+        "minors[k].deletion",
+        "minors[k].contraction",
+    }
