@@ -270,6 +270,8 @@ def _check_certificate_schema(doc: Any) -> None:
 def _excluded_minor(em: dict) -> Matroid:
     """Decode the excluded minor, whose bases must be listed as ``to_doc`` lists them."""
     ground = tuple(em["ground"])
+    if len(set(ground)) != len(ground):
+        raise ReverifyFailed("recipe.excluded_minor.ground", "duplicate ground labels")
     try:
         indices, masks = Matroid._read_bases(ground, em["bases"])
         m = Matroid._from_basis_masks(ground, masks)

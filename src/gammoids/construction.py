@@ -287,17 +287,23 @@ def _certify_element(
     """The record of x, the result's k-th element: presentations of its
     deletion and contraction, each within the graph caps and verified.
 
-    Each graph is held to the caps, then compared with the minor it stands
-    for, the one check of the surgeries that built it: by table where the
-    deletion's table is known, for a deletion ``certify`` materialized and
-    for the bypass restricted away from x, and by its linked sets otherwise.
+    Each side is checked as soon as it is built, the deletion first, by
+    the rule ``certify`` states: the one check of the surgeries that built it.
     """
     m = bundle.result
+    record = {"x": x}
+
+    def check(side, pres, minor, known=None):
+        check_graph_size(len(pres.graph.vertices), len(pres.graph.arcs), f"minors[{k}].{side}")
+        if not (known.equals(minor) if known else pres.presents(minor)):
+            raise ClaimFailed(claim, f"{side} presentation at {x!r} did not verify")
+        record[side] = {"presentation": pres.to_doc(), "verified": True}
+
     if x in bundle.relaxed_set:
         claim = "block_minors_gammoid"
         first = x in block_deleted
         deletion = block_deleted[x] if first else _block_deletion(bundle.branches[1].gadget, x)
-        known = deletion.matroid if first else None  # the deletion's table
+        check("deletion", deletion, m.delete([x]), first and deletion.matroid)
         y = (bundle.block_d if x in bundle.block_c else bundle.block_c)[0]
         # contraction presents (M\y)/x = (M/x)\y. A coloop of M/x is a coloop
         # of M, and y is none: y lies in the relaxed circuit-hyperplane H, and
@@ -311,20 +317,10 @@ def _certify_element(
         deletion = delete_element(bypass, x)
         # tested on the record itself: any other record is enumerated
         restricted = deletion == bypass.with_ground(g for g in bypass.ground if g != x)
-        known = bypass.matroid.delete([x]) if restricted else None
+        check("deletion", deletion, m.delete([x]), restricted and bypass.matroid.delete([x]))
         contraction = contract_any(branch.gadget, x)
-    for side, pres, minor, table in (
-        ("deletion", deletion, m.delete([x]), known),
-        ("contraction", contraction, m.contract([x]), None),
-    ):
-        check_graph_size(len(pres.graph.vertices), len(pres.graph.arcs), f"minors[{k}].{side}")
-        if not (pres.presents(minor) if table is None else table.equals(minor)):
-            raise ClaimFailed(claim, f"{side} presentation at {x!r} did not verify")
-    return {
-        "x": x,
-        "deletion": {"presentation": deletion.to_doc(), "verified": True},
-        "contraction": {"presentation": contraction.to_doc(), "verified": True},
-    }
+    check("contraction", contraction, m.contract([x]))
+    return record
 
 
 def certify(bundle: Bundle, *, jobs: int = 1) -> dict:
@@ -337,11 +333,12 @@ def certify(bundle: Bundle, *, jobs: int = 1) -> dict:
 
     Before any record, the deletions of the first element of each block
     are built and materialized, as ``contract_any`` reads their tables.
-    Then each record's graph is held to the caps that ``verify_certificate``
-    enforces, and compared with the table-level deletion or contraction of
-    the result: by table for those two deletions and for a side deletion
-    that is its bypass restricted away from its element, and by
-    enumerating its linked sets otherwise. Past a cap, :class:`GraphTooLarge` names the record, as in
+    Then each record side is checked as soon as it is built, the deletion
+    before the contraction: held to the caps that ``verify_certificate``
+    enforces, then compared with its minor of the result, by table for
+    those two deletions and for a side deletion that is its bypass
+    restricted away from its element, and by its linked sets otherwise.
+    Past a cap, :class:`GraphTooLarge` names the record, as in
     ``minors[k].deletion: ...``; a mismatch raises :class:`ClaimFailed`.
     Branch 1's gadget presentation backs the records for the block
     elements; the structural claims cover both branches.

@@ -398,6 +398,17 @@ def test_unwritable_output_is_refused_before_construct(
     assert (tmp_path / "existing.json").read_text() == "kept"
 
 
+def test_write_failure_after_the_build_exits_2(runner, tmp_path, monkeypatch):
+    # the path passes the early check, then cannot be opened for writing
+    monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+    result = runner.invoke(main, ["build", "-o", str(tmp_path)], input=json.dumps(U24_DOC))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == (
+        f"parse error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    )
+
+
 def test_verify_imports_only_what_it_checks():
     """``gammoids.certificate`` reaches, through its in-package imports,
     only the modules a reader must trust to believe an accepted certificate."""
@@ -481,6 +492,8 @@ VERIFY_REFUSALS = [
      "parse error: recipe.excluded_minor.ground must be a list of strings"),
     (("recipe", "excluded_minor", "bases"), [], 2,
      "parse error: excluded minor must list at least one basis"),
+    (("recipe", "excluded_minor", "ground", 1), "a", 5,
+     "re-verification failed at recipe.excluded_minor.ground: duplicate ground labels"),
     (("recipe", "delete"), "C#1", 2, "parse error: recipe.delete must be a list of strings"),
     (("recipe", "contract"), None, 2, "parse error: recipe.contract must be a list of strings"),
     (("recipe", "input", "surprise"), [], 2,
@@ -538,6 +551,17 @@ class TestVerifyCommand:
         write_json(path, doc)
         result = runner.invoke(main, ["verify", str(path)])
         assert result.exit_code == 5
+
+    def test_ingleton_that_holds_is_refused(self, runner, u24_cert_doc):
+        # A and C swapped: the inequality holds, and is recorded honestly
+        doc = copy.deepcopy(u24_cert_doc)
+        ing = doc["ingleton"]
+        ing.update(A=ing["C"], C=ing["A"], lhs=19, rhs=21, violated=False)
+        result = runner.invoke(main, ["verify"], input=json.dumps(doc))
+        assert result.exit_code == 5
+        assert result.stderr == (
+            "re-verification failed at ingleton: certificate does not record a violation\n"
+        )
 
     def test_removed_arc_detected_at_record(self, u24_cert_doc):
         doc = copy.deepcopy(u24_cert_doc)
@@ -657,6 +681,12 @@ class TestDemoCommand:
         result = runner.invoke(main, ["demo", "strict-gammoid-duality"])
         assert result.exit_code == 0
         assert "100 random strict presentations pass" in result.output
+
+    def test_failed_duality_check_exits_4(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "transversal_duality_check", lambda presentation: False)
+        result = runner.invoke(main, ["demo", "strict-gammoid-duality"])
+        assert result.exit_code == 4
+        assert result.output == "duality check FAILED on sample 0\n"
 
     def test_unknown_demo(self, runner):
         result = runner.invoke(main, ["demo", "nope"])

@@ -58,6 +58,10 @@ class TestNormalization:
         assert norm.contract_back == ("t#1", "t#2")
         assert norm.presentation.matroid.rank == 2
 
+    def test_empty_ground_set_is_refused(self):
+        with pytest.raises(ValueError, match="^cannot normalize an empty ground set$"):
+            normalize(Presentation(Digraph("t"), "", "t"))
+
 
 class TestBundleShape:
     def test_counts_and_ranks(self, u24_run):
@@ -454,11 +458,14 @@ class TestBoundaryVerification:
             "targets": ["v504"],
         }))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        calls = count_calls(monkeypatch, (Presentation, "presents"))
+        calls = count_calls(
+            monkeypatch, (Presentation, "presents"), (construction, "contract_any")
+        )
         with pytest.raises(GraphTooLarge) as info:
             certify(bundle, jobs=jobs)
         assert str(info.value) == "minors[0].deletion: 515 vertices exceeds cap 512"
-        assert calls["presents"] == 0
+        # refused before the contraction of any element is built
+        assert calls["presents"] == 0 and calls["contract_any"] == 0
 
     def test_verify_counts(self, monkeypatch, r3_run):
         _, doc, _ = r3_run

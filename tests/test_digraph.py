@@ -60,6 +60,10 @@ class TestDigraph:
         g = Digraph("abc", [("a", "b"), ("b", "c")])
         assert g.without_vertex("b").arcs == ()
 
+    def test_removing_a_missing_vertex(self):
+        with pytest.raises(ValueError, match="^no vertex 'z'$"):
+            Digraph("abc").without_vertex("z")
+
 
 class TestMaxLinking:
     def test_empty_source_set(self):
@@ -473,6 +477,29 @@ def call_kernel(n_vertices, arcs, ground, targets, expected=None):
 
 
 @requires_kernel
+class TestKernelCall:
+    """What the kernel's caller refuses, and the failures it reports."""
+
+    def test_mis_shaped_table_is_refused(self):
+        p = Presentation(Digraph("ab", [("a", "b")]), "ab", "b")
+        message = r"^bad kernel call: a table of \(3,\) for 2 elements$"
+        with pytest.raises(ValueError, match=message):
+            digraph._grow_linked_c(p.graph, p.ground, p.targets, None, np.zeros(3, dtype=bool))
+
+    @pytest.mark.parametrize(
+        "status, error, message",
+        [
+            (1, MemoryError, "linkage kernel could not allocate its search state"),
+            (2, RuntimeError, r"linkage kernel rejected its query \(status 2\)"),
+        ],
+    )
+    def test_kernel_failure_status_raises(self, monkeypatch, status, error, message):
+        monkeypatch.setattr(digraph, "_KERNEL", lambda *args: status)
+        p = Presentation(Digraph("ab", [("a", "b")]), "ab", "b")
+        with pytest.raises(error, match=f"^{message}$"):
+            p.matroid
+
+
 class TestKernel:
     """The C kernel marks exactly the sets the Python enumeration marks."""
 

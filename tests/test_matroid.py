@@ -125,6 +125,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Matroid.from_independence("ab", np.ones(3, dtype=bool))
 
+    def test_table_constructor_refusals(self):
+        with pytest.raises(ValueError, match="^duplicate ground labels$"):
+            Matroid("aa", np.zeros(4))
+        with pytest.raises(GroundSetTooLarge, match="^25 elements exceeds cap 24$"):
+            Matroid([f"e{i}" for i in range(25)], np.zeros(1))
+        with pytest.raises(ValueError, match="^rank table has wrong length$"):
+            Matroid("ab", np.zeros(3))
+
+    def test_ground_caps_and_duplicates_of_the_decoders(self):
+        wide = [f"e{i}" for i in range(25)]
+        with pytest.raises(GroundSetTooLarge, match="^25 elements exceeds cap 24$"):
+            Matroid.from_independence(wide, np.ones(1, dtype=bool))
+        with pytest.raises(GroundSetTooLarge, match="^25 elements exceeds cap 24$"):
+            Matroid.from_bases(wide, [wide[:1]])
+        with pytest.raises(ValueError, match="^duplicate ground labels$"):
+            Matroid.from_bases("aa", [["a"]])
+
 
 class TestRankAndCircuits:
     def test_uniform_ranks(self):
@@ -209,6 +226,20 @@ class TestRelaxation:
         with pytest.raises(NotACircuitHyperplane):
             uniform("abcd", 2).relax("ab")
 
+    def test_circuit_hyperplane_needs_independent_children(self):
+        # rank 3 with a, b parallel: abc has rank 2, but its child ab has rank 1
+        m = Matroid.from_independence_oracle("abcd", lambda mask: mask & 0b11 != 0b11)
+        assert m.rank == 3 and m.rank_of("abc") == 2
+        assert not m.is_circuit_hyperplane("abc")
+
+    def test_circuit_hyperplane_needs_a_flat(self):
+        # U(2,4) on abcd plus a coloop e: the circuit abc spans d, not a hyperplane
+        m = Matroid.from_independence_oracle(
+            "abcde", lambda mask: (mask & 0b1111).bit_count() <= 2
+        )
+        assert m.rank == 3 and m.rank_of("abcd") == 2
+        assert not m.is_circuit_hyperplane("abc")
+
     def test_relax_adds_exactly_one_basis_and_changes_one_rank(self):
         m = parallel_pair_matroid()
         relaxed = m.relax("ab")
@@ -265,6 +296,17 @@ class TestGreedy:
     def test_greedy_max_independent_within(self):
         m = parallel_pair_matroid()
         assert m.greedy_max_independent(within="ab") == ("a",)
+
+    def test_greedy_refusals(self):
+        with pytest.raises(ValueError, match="^start set is dependent$"):
+            parallel_pair_matroid().greedy_max_independent(start="ab")
+        # a table that is no matroid: rank 1, but both elements are loops
+        with pytest.raises(ValueError, match="^greedy extension fell short of a basis$"):
+            Matroid("ab", np.array([0, 0, 0, 1])).greedy_basis()
+
+    def test_table_in_needs_a_reordering(self):
+        with pytest.raises(ValueError, match="^order is not a reordering of the ground set$"):
+            parallel_pair_matroid().table_in("abcx")
 
 
 def all_pairs_rank_axioms(table: np.ndarray, n: int) -> bool:

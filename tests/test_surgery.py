@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from conftest import record_instances, uniform
-from gammoids import digraph
+from gammoids import digraph, surgery
 from gammoids.corpus import random_presentation
 from gammoids.digraph import Digraph, Presentation, brute_force_linking_oracle, kuhn_matching
 from gammoids.errors import (
+    GroundSetTooLarge,
     IsLoop,
     LabelCollision,
     NotABasis,
     NotInGround,
     NotInSAndT,
     PreconditionViolated,
+    RetargetFailed,
 )
 from gammoids.matroid import Matroid
 from gammoids.surgery import (
@@ -104,6 +106,23 @@ class TestRetarget:
             retarget(p, "abc")
         with pytest.raises(NotABasis):
             retarget(p, "a")
+
+    def test_unextendable_basis_is_refused(self, monkeypatch):
+        # a target that no ground element reaches makes |T| exceed the rank,
+        # so the basis b is extended through the strict lift
+        p = Presentation(Digraph("abt", [("b", "a")]), "ab", "at")
+        monkeypatch.setattr(digraph._FlowNetwork, "route", lambda self, caps, order: [])
+        with pytest.raises(
+            RetargetFailed, match="^could not extend the basis through the strict lift$"
+        ):
+            retarget(p, "b")
+
+    def test_unmatched_dual_transversal_system_is_refused(self, monkeypatch):
+        monkeypatch.setattr(surgery, "kuhn_matching", lambda elements, parts: None)
+        with pytest.raises(
+            RetargetFailed, match="^dual transversal system admitted no full matching$"
+        ):
+            retarget(u24_presentation(), "cd")
 
     def test_random_bases_round_trip(self):
         rng = random.Random(43)
@@ -274,6 +293,15 @@ class TestFreeExtension:
         assert q.matroid.is_freely_placed("x")
         assert q.matroid.delete(["x"]).equals(p.matroid)
 
+    def test_add_coloop_label_collisions(self):
+        with pytest.raises(LabelCollision, match="^'a' already names a vertex$"):
+            add_coloop(u23_presentation(), "a")
+        with pytest.raises(LabelCollision, match="^'tstar' already names a vertex$"):
+            add_coloop(u23_presentation(), "tstar")
+        p = Presentation(Digraph(["a", "tstar"]), "a", "")
+        with pytest.raises(LabelCollision, match="^'tstar' already names a vertex$"):
+            add_coloop(p, "x")
+
 
 class TestTwoBasesEmbedding:
     def test_already_split_input_is_untouched(self):
@@ -326,6 +354,18 @@ class TestTwoBasesEmbedding:
         p = Presentation(Digraph("abc", [("a", "c")]), "ab", "c")
         with pytest.raises(PreconditionViolated):
             two_bases_embedding(p)
+
+    def test_private_target_label_collision(self):
+        # the loop a is attached to a private target t#1, which already exists
+        p = Presentation(Digraph(["a", "t#1"]), "a", "")
+        with pytest.raises(LabelCollision, match="^'t#1' already names a vertex$"):
+            two_bases_embedding(p)
+
+    def test_embedded_ground_set_cap(self):
+        # 13 loops each get a private target: 26 elements, past the cap of 24
+        loops = [f"g{i}" for i in range(13)]
+        with pytest.raises(GroundSetTooLarge, match="^embedded ground set would exceed the cap$"):
+            two_bases_embedding(Presentation(Digraph(loops), loops, ""))
 
 
 class TestVerifyFlag:
