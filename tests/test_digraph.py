@@ -476,7 +476,6 @@ def call_kernel(n_vertices, arcs, ground, targets, expected=None):
     return status, indep.tolist(), stats.tolist()
 
 
-@requires_kernel
 class TestKernelCall:
     """What the kernel's caller refuses, and the failures it reports."""
 
@@ -500,6 +499,7 @@ class TestKernelCall:
             p.matroid
 
 
+@requires_kernel
 class TestKernel:
     """The C kernel marks exactly the sets the Python enumeration marks."""
 

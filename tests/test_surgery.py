@@ -109,8 +109,10 @@ class TestRetarget:
 
     def test_unextendable_basis_is_refused(self, monkeypatch):
         # a target that no ground element reaches makes |T| exceed the rank,
-        # so the basis b is extended through the strict lift
+        # so the basis b is extended through the strict lift; the matroid is
+        # built first, since the Python engine builds it through route too
         p = Presentation(Digraph("abt", [("b", "a")]), "ab", "at")
+        assert p.matroid.is_basis("b")
         monkeypatch.setattr(digraph._FlowNetwork, "route", lambda self, caps, order: [])
         with pytest.raises(
             RetargetFailed, match="^could not extend the basis through the strict lift$"
