@@ -11,15 +11,16 @@ nothing is taken on faith from the construction itself.
 
 This module is where identities are checked. The surgeries only check
 their inputs and build presentations. ``construct`` checks what they
-built through its claims and its recipe check, and the rank axioms of
-its result alone, as linkage tables are matroids by theory. Each fact is
-checked once: the gadget circuit families on branch 1's gadget alone,
-since a claim proves branch 2's gadget matroid equal to it, which also
-makes the apexed matroids, the gadgets minus C + D, equal; and the
-Ingleton violation by the ten ranks that fix both of its sides. ``certify``
-compares each record with the table-level minor it stands for, by one
-rule. A failed check raises, so ``certify`` returns a certificate
-document only when every check has held.
+built through its claims and its recipe check, and no rank axiom: a
+linkage table is a matroid (Mason 1972), and so is the relaxation of a
+circuit-hyperplane of a matroid (Oxley, *Matroid Theory*, 1.5), which
+``relax`` tests exactly. Each fact is checked once: the gadget circuit
+families on branch 1's gadget alone, since a claim proves branch 2's
+gadget matroid equal to it, which also makes the apexed matroids, the
+gadgets minus C + D, equal; and the Ingleton violation by the ten ranks
+that fix both of its sides. ``certify`` compares each record with the
+table-level minor it stands for, by one rule. A failed check raises, so
+``certify`` returns a certificate only when every check has held.
 """
 
 from __future__ import annotations
@@ -232,7 +233,6 @@ def construct(p: Presentation, *, max_elements: int = MAX_GROUND) -> Bundle:
             "relaxed_set_is_circuit_hyperplane",
             "the union of the blocks is not a circuit-hyperplane",
         ) from None
-    result.verify_axioms()  # the one table build writes
 
     witness = {"A": s1 + APEXES[:1], "B": s2 + APEXES[1:], "C": block_c, "D": block_d}
     check = result.ingleton_check(*(witness[z] for z in "ABCD"))

@@ -693,27 +693,37 @@ class TestDemoCommand:
         assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("command", [["build"], ["demo", "u24"], ["build", "--jobs", "2"]])
+@pytest.mark.parametrize(
+    "command",
+    [["build"], ["demo", "u24"], ["build", "--jobs", "2"], ["build", "-o", "cert.json"]],
+)
 @pytest.mark.parametrize("surgery", ["retarget", "contract_any"])  # construct, certify
 @pytest.mark.parametrize(
     "error", [RetargetFailed, AxiomViolation, NotACircuitHyperplane]
 )
-def test_internal_check_failure_is_a_failed_claim(runner, monkeypatch, command, surgery, error):
+def test_internal_check_failure_is_a_failed_claim(
+    runner, monkeypatch, tmp_path, command, surgery, error
+):
     def failing(*args, **kwargs):
         raise error("injected")
 
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # contract_any fails on a worker thread
     monkeypatch.setattr(construction, surgery, failing)
     result = runner.invoke(main, command, input=json.dumps(U24_DOC))
     assert result.exit_code == 4
     assert isinstance(result.exception, SystemExit)
     assert "claim failed: injected" in result.output
+    assert not (tmp_path / "cert.json").exists()  # a failed claim writes no file
 
 
 @pytest.mark.parametrize("doc", [U24_DOC, RANK3_DOC], ids=["u24", "rank3-gammoid"])
-def test_relaxed_table_failing_an_axiom_is_not_written(runner, monkeypatch, tmp_path, doc):
-    # the lowered set is spanning but no basis, and no claim, record or
-    # Ingleton set reads its rank: only the result's axiom check sees it
+def test_relaxed_table_fault_at_an_unrecorded_rank_changes_no_byte(
+    runner, monkeypatch, tmp_path, doc
+):
+    # the lowered set is spanning but no basis, so the result breaks unit
+    # increase there; a certificate records only bases, and every claim,
+    # record and Ingleton set reads other ranks, so no byte changes
     real = Matroid.relax
 
     def lowered(self, labels):
@@ -723,14 +733,16 @@ def test_relaxed_table_failing_an_axiom_is_not_written(runner, monkeypatch, tmp_
         table[m.mask_of(kept)] -= 1
         return Matroid(m.ground, table)
 
-    monkeypatch.setattr(Matroid, "relax", lowered)
-    inp, out = tmp_path / "in.json", tmp_path / "cert.json"
+    inp, honest, out = (tmp_path / name for name in ("in.json", "honest.json", "cert.json"))
     write_json(inp, doc)
+    assert runner.invoke(main, ["build", "-i", str(inp), "-o", str(honest)]).exit_code == 0
+    monkeypatch.setattr(Matroid, "relax", lowered)
+    with pytest.raises(AxiomViolation, match="^unit increase fails at "):
+        construction.construct(parse_presentation(doc)).result.verify_axioms()
     result = runner.invoke(main, ["build", "-i", str(inp), "-o", str(out)])
-    assert result.exit_code == 4
-    assert isinstance(result.exception, SystemExit)
-    assert "claim failed: unit increase fails at " in result.output
-    assert not out.exists()
+    assert result.exit_code == 0
+    assert out.read_bytes() == honest.read_bytes()
+    assert runner.invoke(main, ["verify", str(out)]).exit_code == 0
 
 
 def test_import_does_not_load_openssl():

@@ -203,8 +203,7 @@ class TestClaims:
         assert info.value.detail == "contracting both apexes lost the input"
 
     def test_wrong_rank_on_the_relaxed_set_fails_the_ingleton_claim(self, monkeypatch):
-        # the table is untouched, so the axiom check passes; the claim reads
-        # the ten ranks through rank_of
+        # the table is untouched; the claim reads the ten ranks through rank_of
         cd = {"C#1", "C#2", "D#1", "D#2", "D#3", "D#4"}
         real = Matroid.relax
 
@@ -405,16 +404,17 @@ def count_calls(monkeypatch, *spots) -> Counter:
 
 
 class TestBoundaryVerification:
-    """The rank axioms are checked once, on the excluded minor.
+    """The rank axioms are checked once per certificate, by verify.
 
     construct materializes what it builds (6 linkage tables, matroids by
-    theory) and checks the axioms of its relaxed result alone. certify and
-    verify enumerate the linked sets of each record once and compare them
-    with the independent sets of the minor of the excluded minor it stands
-    for, which is already a matroid, so no record gets a table or an axiom
-    check. certify still materializes the two block deletions that
-    contract_any reads; verify materializes only the recipe's input, and
-    checks the axioms of the excluded minor it decodes.
+    theory) and checks no axiom: its result relaxes a circuit-hyperplane,
+    which relax tests exactly, so it is a matroid by theory too. certify
+    and verify enumerate the linked sets of each record once and compare
+    them with the independent sets of the minor of the excluded minor it
+    stands for, so no record gets a table or an axiom check. certify still
+    materializes the two block deletions that contract_any reads; verify
+    materializes only the recipe's input, and checks the axioms of the
+    excluded minor it decodes from outside input.
     """
 
     @pytest.mark.parametrize("doc, certify_calls", [(U24_DOC, 16), (RANK3_DOC, 20)])
@@ -427,7 +427,7 @@ class TestBoundaryVerification:
         )
         bundle = construct(parse_presentation(doc))
         assert calls["linkage_matroid"] == 6
-        assert calls["verify_axioms"] == 1
+        assert calls["verify_axioms"] == 0
         calls.clear()
         certify(bundle)
         # Counter equality counts a missing name as 0

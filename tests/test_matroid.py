@@ -15,7 +15,7 @@ from gammoids.errors import (
     NotACircuitHyperplane,
     ReverifyFailed,
 )
-from gammoids.matroid import Matroid
+from gammoids.matroid import Matroid, _popcounts
 
 
 def parallel_pair_matroid() -> Matroid:
@@ -377,6 +377,21 @@ class TestVerifyAxioms:
     def test_empty_set_rank(self):
         with pytest.raises(AxiomViolation, match="rank of the empty set is not 0"):
             Matroid("a", np.array([1, 1])).verify_axioms()
+
+    def test_records_do_not_imply_the_axioms_of_a_decoded_basis_family(self):
+        # why verify checks the excluded minor it decodes: bases of two sizes
+        # are no matroid's, yet every single-element deletion and contraction
+        # has the independent sets of a matroid, which is all a record shows
+        with pytest.raises(
+            AxiomViolation, match=r"^submodularity fails at \('c',\) with a, b$"
+        ):
+            Matroid.from_bases("abc", [["a", "b"], ["c"]])
+        indep = np.zeros(8, dtype=bool)
+        indep[[0b000, 0b001, 0b010, 0b011, 0b100]] = True  # the subsets of ab and c
+        decoded = Matroid._from_independent_sets(tuple("abc"), indep)
+        for x in "abc":
+            for minor in (decoded.delete([x]), decoded.contract([x])):
+                Matroid.from_independence(minor.ground, minor.table == _popcounts(2))
 
 
 def gf2_rank(vectors) -> int:
