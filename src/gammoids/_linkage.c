@@ -43,8 +43,8 @@
    basis in the caller's vertex order, in which the rank is routed
    whatever the kernel's numbering. The stack order, the candidates (a
    bit mask, lowest element first) and the stop once every candidate is
-   reached are those of the Python engine, so indep, the number of
-   searches and the first set found to differ are the same.
+   reached are those of the Python engine, so indep and the three stats
+   below are the same.
    gammoids.digraph compiles this file and calls it through ctypes.
 
    The kernel receives the query itself: n_vertices, the n_arcs arcs as
@@ -56,15 +56,11 @@
    code read or write out of bounds.
 
    indep, if not NULL (1 << n bytes, indep[0] already set), receives every
-   linked set. expected, if not NULL (1 << n bytes: the independent sets
-   of a matroid on the ground, by mask), is compared with them: first the
-   rank (the routed linked set R must be independent there, and no R + e
-   may be), then every candidate e of every searched set I (reached(e)
-   must equal expected[I + e]). At the first difference the kernel
-   returns LINKAGE_MISMATCH, so a record that does not present the
-   matroid costs at most one search per expected independent set.
-   stats[0] receives the number of searches made and stats[1] the first
-   set found to differ, or -1.
+   linked set. expected, if not NULL (1 << n bytes, by mask), is compared
+   with them as the docstring of gammoids.digraph._linkage_independence
+   states, and the kernel returns LINKAGE_MISMATCH at the first
+   difference. stats holds three slots: the number of searches made, the
+   first set found to differ or -1, and the rank routed.
 
    Returns LINKAGE_OK, LINKAGE_NO_MEMORY if an allocation failed,
    LINKAGE_BAD_INPUT if the arrays do not describe a query, or
@@ -417,6 +413,7 @@ int linkage_independence(int32_t n_vertices, int32_t n_arcs, const int32_t *arcs
 {
     stats[0] = 0;
     stats[1] = -1;
+    stats[2] = 0;
     if (n_vertices < 0 || n_vertices > MAX_VERTICES || n_arcs < 0 ||
         n_arcs > MAX_ARCS || n < 0 || n > MAX_GROUND || n_targets < 0)
         return LINKAGE_BAD_INPUT;
@@ -484,6 +481,7 @@ int linkage_independence(int32_t n_vertices, int32_t n_arcs, const int32_t *arcs
             rank++;
         }
     }
+    stats[2] = rank;
 
     status = LINKAGE_MISMATCH;
     if (expected) {

@@ -6,11 +6,12 @@ returns it, :func:`certificate_to_json` writes it, and
 ``claims``, ``ingleton``, ``minors``, ``recipe``, and ``notes``. It
 embeds the excluded minor as a basis family (rank tables are
 reconstructed on verify) and one gammoid presentation per element and
-side. Re-verification checks the axioms of the excluded minor alone,
-enumerates every recorded presentation's linked sets from scratch
-through the linkage engine, compares them with the independent sets of
-the minor the record stands for, and re-runs the Ingleton and recipe
-checks without re-running the construction.
+side. Re-verification enumerates every recorded presentation's linked
+sets from scratch through the linkage engine, compares them with the
+independent sets of the minor the record stands for, and re-runs the
+Ingleton and recipe checks without re-running the construction. No rank
+axiom is checked: the canonical basis listing makes the family pure, and
+the deletion records make it a matroid's (:func:`_excluded_minor`).
 
 Certificates are written by a small writer of their own that gives the
 bytes of ``json.dumps(doc, indent=2)``: the standard library uses its C
@@ -29,7 +30,6 @@ import numpy as np
 
 from .digraph import Digraph, Presentation
 from .errors import (
-    AxiomViolation,
     GammoidError,
     GraphTooLarge,
     GroundSetTooLarge,
@@ -268,14 +268,20 @@ def _check_certificate_schema(doc: Any) -> None:
 
 
 def _excluded_minor(em: dict) -> Matroid:
-    """Decode the excluded minor, whose bases must be listed as ``to_doc`` lists them."""
+    """Decode the excluded minor, whose bases must be listed as ``to_doc`` lists them.
+
+    No axiom is checked. The canonical listing makes the family pure; each
+    deletion record, compared rank-exactly (``Presentation.presents``), makes
+    its restriction to E - x a gammoid's; so inside every X the maximal members
+    have one size, which makes it a matroid's (Oxley, §1.1, axiom I3').
+    """
     ground = tuple(em["ground"])
     if len(set(ground)) != len(ground):
         raise ReverifyFailed("recipe.excluded_minor.ground", "duplicate ground labels")
     try:
         indices, masks = Matroid._read_bases(ground, em["bases"])
         m = Matroid._from_basis_masks(ground, masks)
-    except (AxiomViolation, ValueError) as exc:
+    except ValueError as exc:
         raise ReverifyFailed("recipe.excluded_minor.bases", str(exc)) from None
     # label indices strictly increase within each basis (a marker, len(ground),
     # opens each one), and the masks are the bases in ascending order

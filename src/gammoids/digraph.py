@@ -31,11 +31,9 @@ level. On a graph of at most 64 vertices the search keeps each vertex
 set in one word and each vertex's in-neighbours in one word; on a larger
 one it runs over bitsets of 64-vertex words with sparse in-neighbour
 rows. A search whose extensions all have full rank records no path,
-since none is followed. Given the independent sets of a matroid
-instead of an array to fill, it compares the linked sets with them and
-stops at the first difference, so a record that does not present its
-minor costs at most one search per independent set of the minor
-(:func:`_linkage_independence`). Importing this module compiles the
+since none is followed. Given a family to compare instead of an array
+to fill, it stops at the first difference; :func:`_linkage_independence`
+states when that verdict is exact. Importing this module compiles the
 kernel with the interpreter's C compiler into the per-user cache
 (``$XDG_CACHE_HOME/gammoids``, else ``~/.cache/gammoids``), under a name
 hashed from the source, the compiler command and the interpreter's
@@ -185,18 +183,22 @@ class Linking:
         return len(self.paths)
 
     def check_valid(self, graph: Digraph, targets: Iterable[str]) -> None:
-        """Assert disjointness, arc membership, and target endpoints."""
+        """Raise ``ValueError`` on an empty, shared, broken or off-target path."""
         tset = set(targets)
         used: set[str] = set()
         arcs = set(graph.arcs)
         for path in self.paths:
-            assert path, "empty path"
-            assert path[-1] in tset, f"path {path} does not end in the targets"
+            if not path:
+                raise ValueError("empty path")
+            if path[-1] not in tset:
+                raise ValueError(f"path {path} does not end in the targets")
             for v in path:
-                assert v not in used, f"vertex {v} reused across paths"
+                if v in used:
+                    raise ValueError(f"vertex {v} reused across paths")
                 used.add(v)
             for u, v in zip(path, path[1:]):
-                assert (u, v) in arcs, f"missing arc ({u}, {v})"
+                if (u, v) not in arcs:
+                    raise ValueError(f"missing arc ({u}, {v})")
 
 
 @dataclass(frozen=True)
@@ -226,16 +228,14 @@ class Presentation:
         return linkage_matroid(self)
 
     def presents(self, m: Matroid) -> bool:
-        """Whether the linked sets are exactly the independent sets of ``m``.
-
-        Compares the enumeration with ``m``'s table read in this ground
-        order. No rank table is built and no axiom is checked: a family
-        equal to the independent sets of the matroid ``m`` satisfies them.
-        """
+        """Whether the linked sets are exactly the sets of ``m`` whose rank is
+        their size: exact whenever those are down-closed and the largest has
+        size ``m.rank`` (:func:`_linkage_independence`), matroid or not."""
         if set(self.ground) != set(m.ground):
             return False
         expected = m.table_in(self.ground) == _popcounts(len(self.ground))
-        return _linkage_independence(self.graph, self.ground, self.targets, expected).equal
+        found = _linkage_independence(self.graph, self.ground, self.targets, expected)
+        return found.equal and found.rank == m.rank
 
     def with_ground(self, ground: Iterable[str]) -> "Presentation":
         return Presentation(self.graph, ground, self.targets)
@@ -398,11 +398,12 @@ def is_linked(graph: Digraph, sources: Iterable[str], targets: Iterable[str]) ->
 
 
 class _Comparison(NamedTuple):
-    """How a presentation's linked sets compare with a matroid's independent sets."""
+    """How a presentation's linked sets compare with a down-closed family."""
 
-    equal: bool
+    equal: bool  # no set found in one family only
     searches: int  # linked sets searched before the verdict
     differs_at: int  # the first set found in one family only, by mask; -1 if none
+    rank: int  # the size of the routed set, the largest linked one
 
 
 def _linkage_independence(
@@ -428,16 +429,16 @@ def _linkage_independence(
     any other extension contains an unlinked set. A set with no such
     element, or of full rank, is a leaf and is never searched.
 
-    With ``expected``, the independent sets of a matroid on ``ground``
-    by mask, the linked sets are compared with them instead of returned,
-    and the growing stops at the first difference. The routed set R
-    must be a basis there: independent, with no independent R + e. Then
-    every candidate e of every searched set I must be reached exactly
-    when I + e is expected. Each linked set is checked as its parent's
-    candidate, and the smallest expected set that is not linked is
-    either larger than the rank or some searched set's candidate, so
-    the verdict is exact, and a mismatch costs at most one search per
-    expected set.
+    With ``expected``, any down-closed family on ``ground`` by mask,
+    the linked sets are compared with it instead of returned, and the
+    growing stops at the first difference. The routed set R must be
+    maximal there: R in the family, and no R + e. Then every candidate
+    e of every searched set I must be reached exactly when I + e is
+    expected. Each linked set is checked as its parent's candidate, and
+    the smallest expected set that is not linked is either larger than
+    the rank or some searched set's candidate. So the families are
+    equal iff ``equal`` holds and ``rank`` is the largest expected
+    set's size, and a mismatch costs at most one search per expected set.
 
     The growing runs in the C kernel when it is loaded, else in
     :func:`_grow_linked`. Both route the rank greedily in vertex order,
@@ -445,17 +446,17 @@ def _linkage_independence(
     every candidate is reached. They may route a set along different
     augmenting paths, but which sets a search reaches, and so which set
     is routed, depends only on the linked family, so the two return the
-    same sets, the same number of searches and the same first difference.
+    same sets, searches, first difference and rank.
     """
     indep = None
     if expected is None:
         indep = np.zeros(1 << len(ground), dtype=bool)
         indep[0] = True
     grow = _grow_linked if _KERNEL is None else _grow_linked_c
-    searches, differs_at = grow(graph, ground, targets, expected, indep)
+    searches, differs_at, rank = grow(graph, ground, targets, expected, indep)
     if expected is None:
         return indep
-    return _Comparison(differs_at < 0, searches, differs_at)
+    return _Comparison(differs_at < 0, searches, differs_at, rank)
 
 
 def _grow_linked(
@@ -464,12 +465,12 @@ def _grow_linked(
     targets: Iterable[str],
     expected: np.ndarray | None,
     indep: np.ndarray | None,
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Grow the linked sets in Python (the reference engine).
 
     Marks every non-empty linked set in ``indep`` if given, compares them
-    with ``expected`` if given, and returns the number of searches made
-    and the first set found to differ, or -1.
+    with ``expected`` if given, and returns the number of searches made,
+    the first set found to differ, or -1, and the rank routed.
     """
     net = _FlowNetwork(graph, targets)
     idx = graph.index
@@ -482,12 +483,12 @@ def _grow_linked(
         expected = expected.tobytes()  # bytes index to ints, fast in a loop
         basis = sum(1 << e for e in range(n) if vertex[e] in routed)
         if not expected[basis]:
-            return 0, basis
+            return 0, basis, rank
         for e in range(n):
             if not basis >> e & 1 and expected[basis | 1 << e]:
-                return 0, basis | 1 << e
+                return 0, basis | 1 << e, rank
     if not rank:
-        return 0, -1
+        return 0, -1, rank
     searches = 0
     linked: list[int] = []
     # linked sets still to search: mask, size, elements that may extend it, flow
@@ -500,7 +501,7 @@ def _grow_linked(
         if expected is not None:
             hits = [e for e in cands if expected[parent | 1 << e]]
             if hits != reached:  # both ascend: the first difference is the least
-                return searches, parent | 1 << min(set(hits).symmetric_difference(reached))
+                return searches, parent | 1 << min(set(hits).symmetric_difference(reached)), rank
         grow = size + 1 < rank
         for i, e in enumerate(reached):
             child = parent | 1 << e
@@ -511,7 +512,7 @@ def _grow_linked(
                 stack.append((child, size + 1, reached[:i], flow))
     if indep is not None:
         indep[linked] = True
-    return searches, -1
+    return searches, -1, rank
 
 
 def _grow_linked_c(
@@ -520,7 +521,7 @@ def _grow_linked_c(
     targets: Iterable[str],
     expected: np.ndarray | None,
     indep: np.ndarray | None,
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """:func:`_grow_linked` through the C kernel, which takes the graph as index arrays.
 
     The arrays use the graph's vertex order; the kernel renumbers the
@@ -538,7 +539,7 @@ def _grow_linked_c(
         map(idx.__getitem__, chain.from_iterable(graph.arcs)), np.int32, 2 * len(graph.arcs)
     )
     ends = np.fromiter(map(idx.__getitem__, chain(ground, targets)), np.int32)
-    stats = np.zeros(2, dtype=np.int64)
+    stats = np.zeros(3, dtype=np.int64)
     # plain addresses: numpy's ctypes adapters (ndpointer, data_as) leave one
     # reference cycle per argument, which holds its array until a collection
     status = _KERNEL(

@@ -141,9 +141,11 @@ class Matroid:
         ground: Iterable[str],
         bases: Iterable[Iterable[str]],
     ) -> "Matroid":
-        """Rebuild a matroid from its basis family (certificate decoding)."""
+        """Rebuild a matroid from its basis family, checking the rank axioms."""
         ground = tuple(ground)
-        return cls._from_basis_masks(ground, cls._read_bases(ground, bases)[1])
+        m = cls._from_basis_masks(ground, cls._read_bases(ground, bases)[1])
+        m.verify_axioms()
+        return m
 
     @staticmethod
     def _read_bases(
@@ -179,13 +181,13 @@ class Matroid:
 
     @classmethod
     def _from_basis_masks(cls, ground: tuple[str, ...], masks: np.ndarray) -> "Matroid":
-        # the independent sets are the subsets of bases: one pass per bit
+        # the independent sets are the subsets of bases, unchecked: one pass per bit
         indep = np.zeros(1 << len(ground), dtype=bool)
         indep[masks] = True
         for b in range(len(ground)):
             halves = indep.reshape(-1, 2, 1 << b)
             halves[:, 0] |= halves[:, 1]
-        return cls.from_independence(ground, indep)
+        return cls._from_independent_sets(ground, indep)
 
     # -- basic queries ----------------------------------------------------
 

@@ -64,6 +64,22 @@ def record_instances(monkeypatch, cls) -> list:
     return made
 
 
+def down_closed_families(n: int):
+    """Every nonempty down-closed family of subsets of n elements, as a set of
+    masks: 2, 5, 19, 167 and 7,580 of them for n = 1..5 (Dedekind numbers less one)."""
+
+    def extend(mask: int, family: frozenset):
+        if mask == 1 << n:
+            yield family
+            return
+        yield from extend(mask + 1, family)
+        # every subset of a mask is a smaller mask, so it is decided already
+        if all(mask ^ 1 << b in family for b in range(n) if mask >> b & 1):
+            yield from extend(mask + 1, family | {mask})
+
+    return extend(1, frozenset({0}))
+
+
 def uniform(ground: str, k: int) -> Matroid:
     return Matroid.from_independence_oracle(ground, lambda mask: mask.bit_count() <= k)
 

@@ -17,7 +17,9 @@ listed, or inserts it in mask order if not. Every flip must be rejected: a
 flipped r-set B changes M\\x for each x outside B, and the record for that x
 presents the unflipped minor. The sweep counts where verify rejects each
 flip; ``test_tamper.py`` runs all of them.
-Run from the repository root::
+
+The script exits 1 if an edit disagrees with the oracle or a flip is
+accepted, else 0. Run from the repository root::
 
     PYTHONPATH=src python tests/tamper_sweep.py
 """
@@ -25,6 +27,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import re
+import sys
 import time
 from bisect import bisect
 from collections import Counter
@@ -135,10 +138,11 @@ def rejected_at(cert: dict) -> str:
     return "accepted"
 
 
-def main() -> None:
+def main() -> int:
     bundle = construct(parse_presentation(U24_DOC))
     cert = certify(bundle)
     records = [(k, side) for k in range(len(cert["minors"])) for side in SIDES]
+    failed = False
     for name, edits in (("deletions", arc_deletions), ("additions", arc_additions)):
         start = time.perf_counter()
         grades = sweep(cert, bundle.result, edits, records)
@@ -148,12 +152,14 @@ def main() -> None:
             f"{grades['rejected']} rejected, {grades['disagreeing']} disagreeing "
             f"({elapsed:.1f} s)"
         )
+        failed |= grades["disagreeing"] > 0
     start = time.perf_counter()
     places = Counter(map(rejected_at, basis_flips(cert)))
     elapsed = time.perf_counter() - start
     where = ", ".join(f"{n} at {place}" for place, n in sorted(places.items()))
     print(f"r-set flips: {sum(places.values())} edits, {where} ({elapsed:.1f} s)")
+    return 1 if failed or places["accepted"] else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -404,7 +404,7 @@ def count_calls(monkeypatch, *spots) -> Counter:
 
 
 class TestBoundaryVerification:
-    """The rank axioms are checked once per certificate, by verify.
+    """No rank axiom is checked, by build or by verify.
 
     construct materializes what it builds (6 linkage tables, matroids by
     theory) and checks no axiom: its result relaxes a circuit-hyperplane,
@@ -413,8 +413,9 @@ class TestBoundaryVerification:
     them with the independent sets of the minor of the excluded minor it
     stands for, so no record gets a table or an axiom check. certify still
     materializes the two block deletions that contract_any reads; verify
-    materializes only the recipe's input, and checks the axioms of the
-    excluded minor it decodes from outside input.
+    materializes only the recipe's input. The excluded minor it decodes
+    from outside input gets no axiom check either: its canonical basis
+    listing and its deletion records imply the axioms.
     """
 
     @pytest.mark.parametrize("doc, certify_calls", [(U24_DOC, 16), (RANK3_DOC, 20)])
@@ -476,7 +477,8 @@ class TestBoundaryVerification:
             (Matroid, "verify_axioms"),
         )
         verify_certificate(doc)
-        assert calls == {"_linkage_independence": 29, "linkage_matroid": 1, "verify_axioms": 1}
+        # Counter equality counts a missing name as 0
+        assert calls == Counter(_linkage_independence=29, linkage_matroid=1, verify_axioms=0)
 
     def test_faulty_side_contraction_is_caught(self, monkeypatch, u24_run):
         bundle, _, _ = u24_run

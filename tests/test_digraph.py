@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -15,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import requires_kernel, uniform
+from conftest import down_closed_families, requires_kernel, uniform
 from gammoids import certify, construct, digraph, parse_presentation
 from gammoids.certificate import verify_certificate
 from gammoids.corpus import RANK3_DOC, random_digraph, random_presentation, random_vertex_subset
 from gammoids.digraph import (
     Digraph,
+    Linking,
     Presentation,
     _FlowNetwork,
     brute_force_linking_oracle,
@@ -31,6 +33,7 @@ from gammoids.digraph import (
 )
 from gammoids.errors import GraphTooLarge, GroundSetTooLarge, NotStrict
 from gammoids.matroid import Matroid, _popcounts
+from small_matroids import FIXTURE
 
 
 def plain_linkage_matroid(p: Presentation) -> Matroid:
@@ -90,6 +93,21 @@ class TestMaxLinking:
             linking.check_valid(g, ts)
             assert {p[0] for p in linking.paths} <= set(xs)
             assert max_linking(g, xs, ts) == linking
+
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            (((),), "empty path"),
+            ((("a",),), "path ('a',) does not end in the targets"),
+            ((("a", "c"), ("b", "c")), "vertex c reused across paths"),
+            ((("b", "a", "c"),), "missing arc (b, a)"),
+        ],
+        ids=["empty", "off-target", "shared", "broken"],
+    )
+    def test_invalid_linking_is_refused(self, paths, message):
+        g = Digraph("abc", [("a", "c"), ("b", "c")])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Linking(paths).check_valid(g, "c")
 
 
 class TestIsLinked:
@@ -310,6 +328,21 @@ class TestPresents:
             ("relabeled", False),
         }
 
+    def test_exact_against_every_down_closed_family(self):
+        """Matroid's or not: a family of larger sets than the rank is refused."""
+        pairs = 0
+        for doc in json.loads(FIXTURE.read_text(encoding="utf-8")):
+            p = parse_presentation(doc)
+            n = len(p.ground)
+            linked = independent_sets(p.matroid, p.ground)
+            for family in down_closed_families(n):
+                indep = np.zeros(1 << n, dtype=bool)
+                indep[list(family)] = True
+                m = Matroid._from_independent_sets(p.ground, indep)
+                assert p.presents(m) == np.array_equal(indep, linked), (doc, sorted(family))
+                pairs += 1
+        assert pairs == 3015  # 2, 4, 8 and 17 presentations on 1-4 elements
+
 
 # U(4,16): each of 16 vertices reaches each of 4 targets
 WIDE_GROUND = [f"g{i}" for i in range(16)]
@@ -436,8 +469,8 @@ def engines_agree(kernel, cases) -> int:
     """Assert that ``kernel`` and the Python engine agree in both modes.
 
     For each presentation: the linked sets, then ``(equal, searches,
-    differs_at)`` against the linked sets with one set flipped. Returns the
-    number of cases.
+    differs_at, rank)`` against the linked sets with one set flipped.
+    Returns the number of cases.
     """
     rng = random.Random(0xF11B)
     saved = digraph._KERNEL
@@ -465,7 +498,7 @@ def call_kernel(n_vertices, arcs, ground, targets, expected=None):
     ends = np.array(list(ground) + list(targets), dtype=np.int32)
     indep = np.zeros(1 << len(ground), dtype=np.uint8)
     indep[0] = 1
-    stats = np.zeros(2, dtype=np.int64)
+    stats = np.zeros(3, dtype=np.int64)
     status = digraph._KERNEL(
         n_vertices, len(arcs) // 2, arcs.ctypes.data,
         len(ground), ends.ctypes.data, len(targets), ends[len(ground):].ctypes.data,
@@ -526,22 +559,25 @@ class TestKernel:
 
     def test_inconsistent_network_is_refused(self):
         # vertices a, b; arc a -> b; ground a, b; target b
+        p = Presentation(Digraph("ab", [("a", "b")]), "ab", "b")
+        stats = np.zeros(3, dtype=np.int64)
+
         def call(n_vertices=2, arcs=(0, 1), ground=(0, 1), targets=(1,), n=None):
             arrays = [
                 np.array(arcs, dtype=np.int32),
                 np.array(ground, dtype=np.int32),
                 np.array(targets, dtype=np.int32),
                 np.zeros(4, dtype=np.uint8),
-                np.zeros(2, dtype=np.int64),
             ]
-            arcs, ground_, targets_, indep, stats = (a.ctypes.data for a in arrays)
+            arcs, ground_, targets_, indep = (a.ctypes.data for a in arrays)
             return digraph._KERNEL(
                 n_vertices, len(arrays[0]) // 2, arcs,
                 len(ground) if n is None else n, ground_,
-                len(targets), targets_, None, indep, stats,
+                len(targets), targets_, None, indep, stats.ctypes.data,
             )
 
         assert call() == 0
+        assert stats[2] == digraph._grow_linked(p.graph, p.ground, p.targets, None, None)[2] == 1
         assert call(arcs=(0, 2)) == 2  # an endpoint out of range
         assert call(arcs=(-1, 1)) == 2
         assert call(ground=(0, -1)) == 2  # a ground index out of range
@@ -600,6 +636,8 @@ class TestKernel:
             targets = [idx[t] for t in p.targets]
             clean = call_kernel(len(idx), arcs, ground, targets)
             assert call_kernel(len(idx), hostile, ground, targets) == clean, p
+            python = digraph._grow_linked(p.graph, p.ground, p.targets, None, None)
+            assert clean[2][2] == python[2], p  # the routed rank
             flipped = np.array(clean[1], dtype=np.uint8)
             flipped[rng.randrange(1, len(flipped))] ^= 1
             assert call_kernel(len(idx), hostile, ground, targets, flipped) == call_kernel(
@@ -609,7 +647,7 @@ class TestKernel:
     def test_largest_vertex_count_allocates_no_square_table(self):
         # a table of (1 << 20) ** 2 bits would take about 137 GB
         start = time.monotonic()
-        assert call_kernel(1 << 20, [(0, 1)], [0], [1]) == (0, [1, 1], [1, -1])
+        assert call_kernel(1 << 20, [(0, 1)], [0], [1]) == (0, [1, 1], [1, -1, 1])
         assert time.monotonic() - start < 5
         assert call_kernel((1 << 20) + 1, [(0, 1)], [0], [1])[0] == 2
 

@@ -1,14 +1,17 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import uniform
-from gammoids.certificate import _excluded_minor
+from conftest import down_closed_families, uniform
+from gammoids import digraph
+from gammoids.certificate import _excluded_minor, verify_certificate
 from gammoids.corpus import random_presentation
+from gammoids.digraph import Digraph, Presentation
 from gammoids.errors import (
     AxiomViolation,
     GroundSetTooLarge,
@@ -379,9 +382,10 @@ class TestVerifyAxioms:
             Matroid("a", np.array([1, 1])).verify_axioms()
 
     def test_records_do_not_imply_the_axioms_of_a_decoded_basis_family(self):
-        # why verify checks the excluded minor it decodes: bases of two sizes
-        # are no matroid's, yet every single-element deletion and contraction
-        # has the independent sets of a matroid, which is all a record shows
+        # bases of two sizes are no matroid's, yet every single-element
+        # deletion and contraction has the independent sets of a matroid,
+        # which is all a record shows: verify refuses this family because
+        # its listing is not canonical (TestDecodedFamilies)
         with pytest.raises(
             AxiomViolation, match=r"^submodularity fails at \('c',\) with a, b$"
         ):
@@ -392,6 +396,66 @@ class TestVerifyAxioms:
         for x in "abc":
             for minor in (decoded.delete([x]), decoded.contract([x])):
                 Matroid.from_independence(minor.ground, minor.table == _popcounts(2))
+
+
+def is_matroid_family(m: Matroid) -> bool:
+    """Whether the sets whose rank in ``m`` is their size are a matroid's."""
+    try:
+        Matroid.from_independence(m.ground, m.table == _popcounts(m.size))
+    except AxiomViolation:
+        return False
+    return True
+
+
+class TestDecodedFamilies:
+    """verify checks no axiom of the excluded minor it decodes: the listing
+    and the deletion records imply them."""
+
+    # labeled matroids on n = 1..5 elements
+    MATROIDS = {1: 2, 2: 5, 3: 16, 4: 68, 5: 406}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pure_families_with_matroid_deletions_are_matroid_families(self, n):
+        # axiom I3': a family is a matroid's iff, inside every X, its maximal
+        # members have one size; X = E is purity, and each X inside E - x is
+        # a deletion's
+        ground = tuple("abcde"[:n])
+        pc = _popcounts(n)
+        qualify = 0
+        for family in down_closed_families(n):
+            indep = np.zeros(1 << n, dtype=bool)
+            indep[list(family)] = True
+            decoded = Matroid._from_independent_sets(ground, indep)
+            grows = [{x | 1 << b for b in range(n)} - {x} for x in family]
+            sizes = {pc[x] for x, up in zip(family, grows) if not up & family}  # maximal x
+            if len(sizes) == 1 and all(is_matroid_family(decoded.delete([x])) for x in ground):
+                assert is_matroid_family(decoded), sorted(family)
+                qualify += 1
+        assert qualify == self.MATROIDS[n]
+
+    def test_a_listing_of_two_sizes_is_not_canonical(self):
+        with pytest.raises(ReverifyFailed) as info:
+            _excluded_minor({"ground": list("abc"), "bases": [["a", "b"], ["c"]]})
+        assert info.value.location == "recipe.excluded_minor.bases"
+        assert info.value.detail == "basis family is not in canonical form"
+
+    @pytest.mark.parametrize("python", [False, True], ids=["live-engine", "python-engine"])
+    def test_a_record_of_lower_rank_does_not_present_a_deletion(self, monkeypatch, python):
+        if python:
+            monkeypatch.setattr(digraph, "_KERNEL", None)
+        bases = [["b", "c"], ["a", "d"], ["b", "d"], ["c", "d"]]  # in mask order
+        with pytest.raises(AxiomViolation):
+            Matroid.from_bases("abcd", bases)
+        m = _excluded_minor({"ground": list("abcd"), "bases": bases})
+        minor = m.delete(["d"])  # the subsets of a and of bc: no matroid's
+        assert not is_matroid_family(minor) and minor.rank == 2
+        # U(1,3), routing a first: a is a maximal member of the family, and
+        # every linked set is in it; only the rank shows that bc is missing
+        u13 = Presentation(Digraph("abct", [(g, "t") for g in "abc"]), "abc", "t")
+        expected = minor.table == _popcounts(3)
+        found = digraph._linkage_independence(u13.graph, u13.ground, u13.targets, expected)
+        assert found.equal and found.rank == 1
+        assert not u13.presents(minor)
 
 
 def gf2_rank(vectors) -> int:
@@ -532,7 +596,8 @@ class TestBasisListing:
 
 
 class TestCanonicalBases:
-    """``verify`` accepts an excluded minor's family iff ``to_doc`` lists it so."""
+    """``verify`` decodes an excluded minor's family iff ``to_doc`` lists it so;
+    the records refuse a decoded family that is no matroid's."""
 
     @cube_settings
     @given(gf2_columns, st.randoms(use_true_random=False))
@@ -546,19 +611,46 @@ class TestCanonicalBases:
         for family in variants(listed, rng):
             doc = {"ground": list(m.ground), "bases": family}
             try:
-                plain = Matroid.from_bases(m.ground, family)
-            except (AxiomViolation, ValueError) as exc:
+                masks = Matroid._read_bases(m.ground, family)[1]
+            except ValueError as exc:
                 with pytest.raises(ReverifyFailed) as info:
                     _excluded_minor(doc)
                 assert info.value.detail == str(exc)
                 continue
+            plain = Matroid._from_basis_masks(m.ground, masks)  # no axiom check
             if family == plain.to_doc()["bases"]:
                 assert _excluded_minor(doc).equals(plain)
+                # if no matroid's, some deletion is no matroid's: no record presents it
+                deletions = (plain.delete([x]) for x in plain.ground)
+                assert is_matroid_family(plain) or not all(map(is_matroid_family, deletions))
             else:
                 with pytest.raises(ReverifyFailed) as info:
                     _excluded_minor(doc)
                 assert info.value.location == "recipe.excluded_minor.bases"
                 assert info.value.detail == "basis family is not in canonical form"
+
+    def test_records_refuse_a_canonical_family_of_no_matroid(self, u24_cert_doc):
+        recipe = u24_cert_doc["recipe"]
+        em = recipe["excluded_minor"]
+        at_records = 0
+        for seed in range(8):
+            for family in variants(em["bases"], random.Random(seed)):
+                if family == em["bases"]:
+                    continue  # a basis swapped with itself
+                changed = {**em, "bases": family}
+                doc = {**u24_cert_doc, "recipe": {**recipe, "excluded_minor": changed}}
+                with pytest.raises(ReverifyFailed) as info:
+                    verify_certificate(doc)
+                try:
+                    decoded = _excluded_minor(changed)
+                except ReverifyFailed as exc:
+                    assert info.value.location == exc.location
+                    continue
+                if not is_matroid_family(decoded):  # a dropped basis may leave a matroid
+                    record = r"minors\[\d+\]\.(deletion|contraction)"
+                    assert re.fullmatch(record, info.value.location)
+                    at_records += 1
+        assert at_records == 5
 
 
 def variants(listed: list[list[str]], rng: random.Random) -> list[list[list[str]]]:
